@@ -52,14 +52,15 @@ whole graph; the worst case degrades gracefully to a full re-expansion.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 from repro.core.bfs import BFSResult, evolving_bfs
+from repro.engine.answers import ReachedView, hit_times, node_times
 from repro.exceptions import GraphError
 from repro.graph.adjacency_list import AdjacencyListEvolvingGraph
-from repro.graph.base import TemporalEdgeTuple, TemporalNodeTuple
+from repro.graph.base import TemporalEdgeTuple, TemporalNodeTuple, as_temporal_edge
 from repro.graph.compiled import CompiledTemporalGraph
 
 __all__ = ["IncrementalBFS", "IncrementalEarliestArrival"]
@@ -122,11 +123,9 @@ class IncrementalBFS:
         # python-backend state: the reached dictionary itself
         self._reached: dict[TemporalNodeTuple, int] = {}
         # vectorized-backend state: a (T, N) distance block aligned with
-        # ``_axes`` (the compiled artifact it was built against), decoded to
-        # a label dictionary lazily
+        # ``_compiled`` (the artifact it was built against)
         self._dist: np.ndarray | None = None
-        self._axes: CompiledTemporalGraph | None = None
-        self._decoded: dict[TemporalNodeTuple, int] | None = None
+        self._compiled: CompiledTemporalGraph | None = None
         if graph.is_active(*self._root):
             self._initial_search()
 
@@ -150,11 +149,19 @@ class IncrementalBFS:
         return self._backend
 
     @property
-    def distances(self) -> dict[TemporalNodeTuple, int]:
-        """Current ``{(v, t): distance}`` map (a copy; equal to a fresh BFS result)."""
+    def distances(self) -> Mapping[TemporalNodeTuple, int]:
+        """Current ``{(v, t): distance}`` map, equal to a fresh BFS result.
+
+        A snapshot: later updates, and writes to another map handed out,
+        never change it (the python backend returns a dict copy, the
+        vectorized backend a :class:`~repro.engine.answers.ReachedView` of
+        the block).
+        """
         if self._backend == "python":
             return dict(self._reached)
-        return dict(self._decode())
+        if self._dist is None or self._compiled is None:
+            return {}
+        return ReachedView(self._dist, self._compiled.axes)
 
     @property
     def num_updates(self) -> int:
@@ -165,9 +172,9 @@ class IncrementalBFS:
         """Distance from the root to ``(node, time)``, or ``None`` if unreachable."""
         if self._backend == "python":
             return self._reached.get((node, time))
-        if self._dist is None or self._axes is None:
+        if self._dist is None or self._compiled is None:
             return None
-        slot = self._axes.slot(node, time)
+        slot = self._compiled.slot(node, time)
         if slot is None:
             return None
         value = int(self._dist[slot])
@@ -216,15 +223,7 @@ class IncrementalBFS:
         # validate the whole batch before the first insertion: a malformed
         # item must not leave edges in the graph that the distance block
         # never folded in
-        items: list[TemporalEdgeTuple] = []
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            items.append((u, v, t))
+        items = [as_temporal_edge(item) for item in edges]
         new_edges: list[TemporalEdgeTuple] = []
         try:
             for edge in items:
@@ -271,8 +270,8 @@ class IncrementalBFS:
         fresh search after every batch, for any mix.  The python oracle
         backend recomputes from scratch whenever a batch removes edges.
         """
-        ins = self._validate_triples(insertions)
-        rem = self._validate_triples(removals)
+        ins = [as_temporal_edge(item) for item in insertions]
+        rem = [as_temporal_edge(item) for item in removals]
         graph = self._graph
         if self._backend == "python":
             removed = 0
@@ -291,8 +290,8 @@ class IncrementalBFS:
         # phase 1 — removals: capture the pre-removal activeness (the mask
         # the maintained block was computed under), mutate, shrink
         prev_active = (
-            self._axes.active_mask
-            if self._axes is not None and self._dist is not None
+            self._compiled.active_mask
+            if self._compiled is not None and self._dist is not None
             else None
         )
         removed_edges: list[TemporalEdgeTuple] = []
@@ -314,21 +313,6 @@ class IncrementalBFS:
                 self._apply_batch(added_edges)
         return len(added_edges), len(removed_edges)
 
-    @staticmethod
-    def _validate_triples(
-        edges: Iterable[TemporalEdgeTuple],
-    ) -> list[TemporalEdgeTuple]:
-        items: list[TemporalEdgeTuple] = []
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            items.append((u, v, t))
-        return items
-
     def recompute(self) -> dict[TemporalNodeTuple, int]:
         """Recompute from scratch (used for verification); also resyncs the state."""
         active = self._graph.is_active(*self._root)
@@ -343,8 +327,7 @@ class IncrementalBFS:
             self._initial_search()
         else:
             self._dist = None
-            self._axes = None
-            self._decoded = None
+            self._compiled = None
         return self.distances
 
     # ------------------------------------------------------------------ #
@@ -361,29 +344,10 @@ class IncrementalBFS:
         from repro.engine import get_kernel
 
         kernel = get_kernel(self._graph)
-        self._axes = kernel.compiled
+        self._compiled = kernel.compiled
         self._dist = np.ascontiguousarray(
             kernel.distance_block(self._root, sweep_mode=self._sweep_mode)
         )
-        self._decoded = None
-
-    def _decode(self) -> dict[TemporalNodeTuple, int]:
-        """Label dictionary view of the distance block, cached until the next batch."""
-        if self._decoded is None:
-            if self._dist is None or self._axes is None:
-                self._decoded = {}
-            else:
-                labels = self._axes.node_labels
-                times = self._axes.times
-                t_arr, v_arr = np.nonzero(self._dist >= 0)
-                d_arr = self._dist[t_arr, v_arr]
-                self._decoded = {
-                    (labels[vi], times[ti]): int(d)
-                    for ti, vi, d in zip(
-                        t_arr.tolist(), v_arr.tolist(), d_arr.tolist()
-                    )
-                }
-        return self._decoded
 
     def _remap(self, compiled: CompiledTemporalGraph) -> None:
         """Re-align the distance block with a recompiled artifact's axes.
@@ -394,22 +358,15 @@ class IncrementalBFS:
         new shape (new slots start unreached, which is exactly right for the
         decrease-only relaxation to fill in).
         """
-        old = self._axes
-        if old is None or self._dist is None:
-            self._axes = compiled
+        if self._compiled is None or self._dist is None:
+            self._compiled = compiled
             return
-        if (
-            old.num_nodes == compiled.num_nodes
-            and old.times == compiled.times
-            and old.node_labels == compiled.node_labels
-        ):
-            self._axes = compiled
+        old, new = self._compiled.axes, compiled.axes
+        if old.same_as(new):
+            self._compiled = compiled
             return
-        new_dist = np.full(
-            (compiled.num_snapshots, compiled.num_nodes), -1, dtype=np.int32
-        )
-        time_index = compiled.time_index
-        node_index = compiled.node_index
+        new_dist = np.full(compiled.active_mask.shape, -1, dtype=np.int32)
+        time_index, node_index = new.time_index, new.node_index
         old_rows, new_rows = [], []
         for i, t in enumerate(old.times):
             j = time_index.get(t)
@@ -417,7 +374,7 @@ class IncrementalBFS:
                 old_rows.append(i)
                 new_rows.append(j)
         old_cols, new_cols = [], []
-        for i, label in enumerate(old.node_labels):
+        for i, label in enumerate(old.labels):
             j = node_index.get(label)
             if j is not None:
                 old_cols.append(i)
@@ -427,7 +384,7 @@ class IncrementalBFS:
                 np.ix_(old_rows, old_cols)
             ]
         self._dist = new_dist
-        self._axes = compiled
+        self._compiled = compiled
 
     def _apply_batch(self, batch: list[TemporalEdgeTuple]) -> None:
         """Fold one batch of new edges into the distance block.
@@ -438,7 +395,6 @@ class IncrementalBFS:
         wrapper only keeps the block aligned with the delta-recompiled
         artifact and pins the root slot at distance 0.
         """
-        self._decoded = None
         graph = self._graph
         if self._dist is None:
             # the root may only just have become active (or the insertions
@@ -450,7 +406,7 @@ class IncrementalBFS:
 
         kernel = get_kernel(graph)  # delta-recompiled on version mismatch
         compiled = kernel.compiled
-        if compiled is not self._axes:
+        if compiled is not self._compiled:
             self._remap(compiled)
         kernel.patch_distance_block(
             self._dist,
@@ -473,37 +429,31 @@ class IncrementalBFS:
         deactivated root (the block is simply dropped until the root
         reactivates).
         """
-        self._decoded = None
         graph = self._graph
-        if self._dist is None or self._axes is None or prev_active is None:
+        if self._dist is None or self._compiled is None or prev_active is None:
             if graph.is_active(*self._root):
                 self._initial_search()
             else:
                 self._dist = None
-                self._axes = None
+                self._compiled = None
             return
         from repro.engine import get_kernel
 
         kernel = get_kernel(graph)  # delta-recompiled on version mismatch
         compiled = kernel.compiled
-        old = self._axes
-        if (
-            compiled.num_nodes != old.num_nodes
-            or compiled.times != old.times
-            or compiled.node_labels != old.node_labels
-        ):
+        if not compiled.axes.same_as(self._compiled.axes):
             if graph.is_active(*self._root):
                 self._initial_search()
             else:
                 self._dist = None
-                self._axes = None
+                self._compiled = None
             return
-        self._axes = compiled
+        self._compiled = compiled
         slot = compiled.slot(*self._root)
         if slot is None or not compiled.active_mask[slot]:
             # the batch deactivated the root: nothing is reachable anymore
             self._dist = None
-            self._axes = None
+            self._compiled = None
             return
         kernel.shrink_distance_block(
             self._dist, removals, prev_active, sweep_mode=self._sweep_mode
@@ -641,13 +591,6 @@ class IncrementalEarliestArrival:
                 if current is None or position[t] < position[current]:
                     out[v] = t
             return out
-        if inner._dist is None or inner._axes is None:
+        if inner._dist is None or inner._compiled is None:
             return {}
-        reached = inner._dist >= 0
-        hit = reached.any(axis=0)
-        first = reached.argmax(axis=0)
-        labels = inner._axes.node_labels
-        times = inner._axes.times
-        return {
-            labels[vi]: times[first[vi]] for vi in np.nonzero(hit)[0].tolist()
-        }
+        return node_times(hit_times(inner._dist >= 0), inner._compiled.axes)

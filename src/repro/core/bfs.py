@@ -4,8 +4,8 @@
 level-synchronous BFS whose expansion step visits the *forward neighbours* of
 each frontier node — the spatial neighbours within the current snapshot plus
 the same node at later active times (causal edges).  The return value is the
-``reached`` dictionary mapping every reachable temporal node to its distance
-from the root (Definition 6), optionally augmented with the BFS tree and the
+``reached`` map of every reachable temporal node to its distance from the
+root (Definition 6), optionally augmented with the BFS tree and the
 per-iteration frontier trace (which reproduces Figure 3).
 
 Complexity is ``O(|E| + |V|)`` over the expanded graph ``G = (V, E~ ∪ E')``
@@ -33,7 +33,7 @@ path, whose insertion order is part of the documented behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.exceptions import InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
@@ -52,8 +52,13 @@ class BFSResult:
         searches) the traversal started from.
     reached:
         ``{(v, t): distance}`` for every temporal node reachable from the
-        root, including the root itself at distance 0.  This is exactly the
-        ``reached`` dictionary returned by the paper's Algorithm 1.
+        root, including the root itself at distance 0: the ``reached`` map
+        of the paper's Algorithm 1.  A ``Mapping``: the engine backends
+        return a :class:`~repro.engine.answers.ReachedView` over the reached
+        slots of the root's distance column (read-only arrays; a write
+        copies the view into a private dictionary), the Python backends a
+        ``dict``; both compare equal and iterate in the same order.
+        ``dict(result.reached)`` makes a plain mutable copy.
     parents:
         ``{(v, t): (u, s)}`` BFS-tree parent pointers (roots map to
         themselves).  Only populated when the search is run with
@@ -65,7 +70,7 @@ class BFSResult:
     """
 
     root: TemporalNodeTuple | tuple[TemporalNodeTuple, ...]
-    reached: dict[TemporalNodeTuple, int]
+    reached: Mapping[TemporalNodeTuple, int]
     parents: dict[TemporalNodeTuple, TemporalNodeTuple] = field(default_factory=dict)
     frontiers: list[list[TemporalNodeTuple]] = field(default_factory=list)
 

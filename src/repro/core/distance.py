@@ -66,7 +66,8 @@ def distance_dict(graph: BaseEvolvingGraph,
     origin = tuple(origin)
     if not graph.is_active(*origin):
         return {}
-    return dict(evolving_bfs(graph, origin).reached)
+    # from items(): dict() of a non-dict mapping looks every key up again
+    return dict(evolving_bfs(graph, origin).reached.items())
 
 
 def reachable_set(graph: BaseEvolvingGraph,

@@ -28,8 +28,10 @@ drivers it exposes the batched analytics primitives the ported
 :mod:`repro.algorithms` layer runs on: per-root identity reach counts,
 harmonic-closeness sums, and the Katz series over the temporal block matrix.
 
-The kernel produces exactly the ``reached`` dictionaries of the pure-Python
-reference implementations (Theorem 4 equivalence); the property-based suites
+The kernel produces exactly the ``reached`` maps of the pure-Python
+reference implementations (Theorem 4 equivalence), as
+:class:`~repro.engine.answers.ReachedView` mappings over the reached slots of
+each root's distance column; the property-based suites
 ``tests/test_engine.py`` and ``tests/test_algorithms_vectorized.py`` assert
 this on random evolving graphs.  Since PR 3 the engine loop can also track
 *parent slots*: ``_run(track_parents=True)`` records the discovering
@@ -78,6 +80,7 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
+from repro.engine.answers import ReachedView
 from repro.exceptions import ConvergenceError, GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
@@ -163,9 +166,6 @@ class FrontierKernel:
             )
         self.compiled = compiled
         self.counter = counter
-        # decode tables, copied once so per-root result decoding stays cheap
-        self._labels: list[Node] = compiled.node_labels
-        self._times: tuple[Time, ...] = compiled.times
         # (dst row, src column) coordinate expansions for parent attribution,
         # built lazily once per operator stack (the artifact is immutable)
         self._parent_coords: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -244,13 +244,13 @@ class FrontierKernel:
             )
             return BFSResult(
                 root=root,
-                reached=self._reached_dict(dist, 0),
+                reached=self._reached_view(dist, 0),
                 parents=self._parents_dict(dist, parent_t, parent_v, 0),
             )
         dist = self._run(
             [[seed]], direction, reverse_edges=reverse_edges, sweep_mode=sweep_mode
         )
-        return BFSResult(root=root, reached=self._reached_dict(dist, 0))
+        return BFSResult(root=root, reached=self._reached_view(dist, 0))
 
     def multi_source(
         self,
@@ -273,7 +273,7 @@ class FrontierKernel:
             raise ValueError("multi_source requires at least one root")
         seeds = [self._seed_index(r) for r in active_roots]
         dist = self._run([seeds], direction, sweep_mode=sweep_mode)
-        return BFSResult(root=tuple(active_roots), reached=self._reached_dict(dist, 0))
+        return BFSResult(root=tuple(active_roots), reached=self._reached_view(dist, 0))
 
     def batch(
         self,
@@ -304,7 +304,7 @@ class FrontierKernel:
         ):
             for col, root in enumerate(chunk):
                 results[root] = BFSResult(
-                    root=root, reached=self._reached_dict(dist, col)
+                    root=root, reached=self._reached_view(dist, col)
                 )
         return results
 
@@ -406,78 +406,14 @@ class FrontierKernel:
         whenever insertions stay inside the universe).  Returns the number of
         slots whose distance improved.
         """
-        compiled = self.compiled
-        active = compiled.active_mask
-        t_count = compiled.num_snapshots
-        time_index = compiled.time_index
-        node_index = compiled.node_index
-        endpoint_t: list[int] = []
-        endpoint_v: list[int] = []
-        for u, v, t in insertions:
-            ti = time_index.get(t)
-            if ti is None:
-                continue
-            for endpoint in (u, v):
-                vi = node_index.get(endpoint)
-                if vi is not None:
-                    endpoint_t.append(ti)
-                    endpoint_v.append(vi)
-        if not endpoint_t:
-            return 0
-        # dirty slots, vectorized: each endpoint at its insertion time (if
-        # active) plus every later active appearance of that endpoint
-        ep_t = np.asarray(endpoint_t, dtype=np.int64)
-        ep_v = np.asarray(endpoint_v, dtype=np.int64)
-        columns = active[:, ep_v]  # (T, E)
-        touched = columns & (np.arange(t_count)[:, None] > ep_t[None, :])
-        touched[ep_t, np.arange(ep_t.size)] = columns[ep_t, np.arange(ep_t.size)]
-        tt, ee = np.nonzero(touched)
-        keys = np.unique(tt * compiled.num_nodes + ep_v[ee])
-        seed_t, seed_v = keys // compiled.num_nodes, keys % compiled.num_nodes
+        seed_t, seed_v = self._dirty_slots(insertions)
         if pinned is not None:  # the root's distance is pinned at 0
             not_root = (seed_t != pinned[0]) | (seed_v != pinned[1])
             seed_t, seed_v = seed_t[not_root], seed_v[not_root]
         if not seed_t.size:
             return 0
-        big = _UNREACHED  # matches the re-sweep's unreached sentinel
-        # causal candidates in one masked prefix-min sweep — restricted to
-        # the seed columns, so this stays O(T * |batch|), not O(T * N):
-        # the best reached earlier appearance of each seeded node
-        seed_cols = np.unique(seed_v)
-        col_of = np.searchsorted(seed_cols, seed_v)
-        masked = np.where(
-            active[:, seed_cols] & (dist[:, seed_cols] >= 0), dist[:, seed_cols], big
-        )
-        run = np.minimum.accumulate(masked, axis=0)
-        causal = np.full(seed_t.shape, big, dtype=np.int32)
-        has_earlier = seed_t > 0
-        causal[has_earlier] = run[seed_t[has_earlier] - 1, col_of[has_earlier]]
-        # spatial candidates: one ragged gather over the CSR in-neighbour
-        # rows per touched snapshot (row v of F[t] lists v's in-neighbours)
-        spatial = np.full(seed_t.shape, big, dtype=np.int32)
-        forward = compiled.forward_operators
-        for t in np.unique(seed_t).tolist():
-            sel = np.nonzero(seed_t == t)[0]
-            operator = forward[t]
-            starts = operator.indptr[seed_v[sel]]
-            lens = operator.indptr[seed_v[sel] + 1] - starts
-            total = int(lens.sum())
-            if not total:
-                continue
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            gather = np.repeat(starts - offsets[:-1], lens) + np.arange(total)
-            vals = dist[t, operator.indices[gather]]
-            vals = np.where(vals >= 0, vals, big).astype(np.int32)
-            # reduceat over the non-empty segments only: empty segments would
-            # otherwise echo a neighbour's element (and, when trailing, clamp
-            # away the last value of the preceding segment)
-            mins = np.full(sel.shape, big, dtype=np.int32)
-            nonempty = lens > 0
-            mins[nonempty] = np.minimum.reduceat(vals, offsets[:-1][nonempty])
-            spatial[sel] = mins
-        candidate = np.minimum(spatial, causal).astype(np.int64) + 1
-        current = dist[seed_t, seed_v]
-        improvable = candidate < np.where(current < 0, int(big), current)
+        candidate, improvable = self._seed_candidates(dist[:, :, None], seed_t, seed_v)
+        candidate, improvable = candidate[:, 0], improvable[:, 0]
         if not improvable.any():
             return 0
         return self.decrease_only_resweep(
@@ -522,83 +458,20 @@ class FrontierKernel:
         are one column wide.  Returns the improved-slot count per block.
         """
         del sweep_mode
-        compiled = self.compiled
-        active = compiled.active_mask
+        active = self.compiled.active_mask
         t_count, n = active.shape
         r_count = len(blocks)
         if not r_count:
             return []
         for block in blocks:
-            if block.shape != (t_count, n):
-                raise GraphError(
-                    f"distance block shape {block.shape} does not match the "
-                    f"compiled artifact's {(t_count, n)}"
-                )
+            self._check_shape(block, "distance block")
         if pinned is None:
             pinned = [None] * r_count
-        time_index = compiled.time_index
-        node_index = compiled.node_index
-        endpoint_t: list[int] = []
-        endpoint_v: list[int] = []
-        for u, v, t in insertions:
-            ti = time_index.get(t)
-            if ti is None:
-                continue
-            for endpoint in (u, v):
-                vi = node_index.get(endpoint)
-                if vi is not None:
-                    endpoint_t.append(ti)
-                    endpoint_v.append(vi)
-        if not endpoint_t:
-            return [0] * r_count
-        ep_t = np.asarray(endpoint_t, dtype=np.int64)
-        ep_v = np.asarray(endpoint_v, dtype=np.int64)
-        columns = active[:, ep_v]  # (T, E)
-        touched = columns & (np.arange(t_count)[:, None] > ep_t[None, :])
-        touched[ep_t, np.arange(ep_t.size)] = columns[ep_t, np.arange(ep_t.size)]
-        tt, ee = np.nonzero(touched)
-        keys = np.unique(tt * n + ep_v[ee])
-        seed_t, seed_v = keys // n, keys % n
+        seed_t, seed_v = self._dirty_slots(insertions)
         if not seed_t.size:
             return [0] * r_count
-        big = _UNREACHED
         dist = np.stack(blocks, axis=2).astype(np.int32)  # (T, N, R)
-        # causal candidates, broadcast over R: best reached earlier
-        # appearance of each seeded node, per column
-        seed_cols = np.unique(seed_v)
-        col_of = np.searchsorted(seed_cols, seed_v)
-        masked = np.where(
-            active[:, seed_cols, None] & (dist[:, seed_cols, :] >= 0),
-            dist[:, seed_cols, :],
-            big,
-        )
-        run = np.minimum.accumulate(masked, axis=0)
-        causal = np.full((seed_t.size, r_count), big, dtype=np.int32)
-        has_earlier = seed_t > 0
-        causal[has_earlier] = run[seed_t[has_earlier] - 1, col_of[has_earlier], :]
-        # spatial candidates: the same ragged CSR gather as the single-block
-        # form, with the segment minima reduced across all R columns at once
-        spatial = np.full((seed_t.size, r_count), big, dtype=np.int32)
-        forward = compiled.forward_operators
-        for t in np.unique(seed_t).tolist():
-            sel = np.nonzero(seed_t == t)[0]
-            operator = forward[t]
-            starts = operator.indptr[seed_v[sel]]
-            lens = operator.indptr[seed_v[sel] + 1] - starts
-            total = int(lens.sum())
-            if not total:
-                continue
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            gather = np.repeat(starts - offsets[:-1], lens) + np.arange(total)
-            vals = dist[t, operator.indices[gather], :]  # (total, R)
-            vals = np.where(vals >= 0, vals, big).astype(np.int32)
-            mins = np.full((sel.size, r_count), big, dtype=np.int32)
-            nonempty = lens > 0
-            mins[nonempty] = np.minimum.reduceat(vals, offsets[:-1][nonempty], axis=0)
-            spatial[sel] = mins
-        candidate = np.minimum(spatial, causal).astype(np.int64) + 1  # (S, R)
-        current = dist[seed_t, seed_v, :]
-        improvable = candidate < np.where(current < 0, int(big), current)
+        candidate, improvable = self._seed_candidates(dist, seed_t, seed_v)
         for col, pin in enumerate(pinned):
             if pin is not None:  # each block's root distance is pinned at 0
                 improvable[(seed_t == pin[0]) & (seed_v == pin[1]), col] = False
@@ -613,6 +486,93 @@ class FrontierKernel:
         for col, block in enumerate(blocks):
             block[:] = np.where(work[:, :, col] >= _UNREACHED, -1, work[:, :, col])
         return changed
+
+    def _check_shape(self, array: np.ndarray, name: str) -> None:
+        shape = self.compiled.active_mask.shape
+        if array.shape != shape:
+            raise GraphError(
+                f"{name} shape {array.shape} does not match the compiled "
+                f"artifact's {shape}"
+            )
+
+    def _dirty_slots(
+        self, insertions: Sequence[tuple]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(t, v)`` slots an insertion batch may improve, as two arrays.
+
+        Each in-universe endpoint at its insertion time (if active) plus
+        every later active appearance of it, which may have gained a causal
+        in-edge; endpoints or times outside the universe seed nothing.
+        """
+        axes = self.compiled.axes
+        active = self.compiled.active_mask
+        t_count, n = active.shape
+        ends = [
+            slot
+            for u, v, t in insertions
+            for slot in (axes.slot(u, t), axes.slot(v, t))
+            if slot is not None
+        ]
+        if not ends:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        ep_t, ep_v = np.asarray(ends, dtype=np.int64).T
+        columns = active[:, ep_v]  # (T, E)
+        touched = columns & (np.arange(t_count)[:, None] > ep_t[None, :])
+        touched[ep_t, np.arange(ep_t.size)] = columns[ep_t, np.arange(ep_t.size)]
+        tt, ee = np.nonzero(touched)
+        keys = np.unique(tt * n + ep_v[ee])
+        return keys // n, keys % n
+
+    def _seed_candidates(
+        self, dist: np.ndarray, seed_t: np.ndarray, seed_v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per seed slot and column of a ``(T, N, R)`` block: the candidate
+        distance ``1 + min(spatial, causal)`` read off the compiled stacks,
+        and whether it beats the slot's current distance (both ``(S, R)``).
+        """
+        active = self.compiled.active_mask
+        big = _UNREACHED  # matches the re-sweep's unreached sentinel
+        r_count = dist.shape[2]
+        # causal candidates in one masked prefix-min sweep — restricted to
+        # the seed columns, so this stays O(T * |batch|), not O(T * N):
+        # the best reached earlier appearance of each seeded node
+        seed_cols = np.unique(seed_v)
+        col_of = np.searchsorted(seed_cols, seed_v)
+        masked = np.where(
+            active[:, seed_cols, None] & (dist[:, seed_cols, :] >= 0),
+            dist[:, seed_cols, :],
+            big,
+        )
+        run = np.minimum.accumulate(masked, axis=0)
+        causal = np.full((seed_t.size, r_count), big, dtype=np.int32)
+        has_earlier = seed_t > 0
+        causal[has_earlier] = run[seed_t[has_earlier] - 1, col_of[has_earlier], :]
+        # spatial candidates: one ragged gather over the CSR in-neighbour
+        # rows per touched snapshot (row v of F[t] lists v's in-neighbours)
+        spatial = np.full((seed_t.size, r_count), big, dtype=np.int32)
+        forward = self.compiled.forward_operators
+        for t in np.unique(seed_t).tolist():
+            sel = np.nonzero(seed_t == t)[0]
+            operator = forward[t]
+            starts = operator.indptr[seed_v[sel]]
+            lens = operator.indptr[seed_v[sel] + 1] - starts
+            total = int(lens.sum())
+            if not total:
+                continue
+            offsets = np.concatenate(([0], np.cumsum(lens)))
+            gather = np.repeat(starts - offsets[:-1], lens) + np.arange(total)
+            vals = dist[t, operator.indices[gather], :]  # (total, R)
+            vals = np.where(vals >= 0, vals, big).astype(np.int32)
+            # reduceat over the non-empty segments only: empty segments would
+            # otherwise echo a neighbour's element (and, when trailing, clamp
+            # away the last value of the preceding segment)
+            mins = np.full((sel.size, r_count), big, dtype=np.int32)
+            nonempty = lens > 0
+            mins[nonempty] = np.minimum.reduceat(vals, offsets[:-1][nonempty], axis=0)
+            spatial[sel] = mins
+        candidate = np.minimum(spatial, causal).astype(np.int64) + 1
+        current = dist[seed_t, seed_v, :]
+        return candidate, candidate < np.where(current < 0, int(big), current)
 
     def shrink_distance_block(
         self,
@@ -647,18 +607,8 @@ class FrontierKernel:
         drop the block and recompute.  Returns the number of slots whose
         distance changed.
         """
-        active = self.compiled.active_mask
-        t_count, n = active.shape
-        if dist.shape != (t_count, n):
-            raise GraphError(
-                f"distance block shape {dist.shape} does not match the "
-                f"compiled artifact's {(t_count, n)}"
-            )
-        if previous_active.shape != (t_count, n):
-            raise GraphError(
-                f"previous_active shape {previous_active.shape} does not "
-                f"match the compiled artifact's {(t_count, n)}"
-            )
+        self._check_shape(dist, "distance block")
+        self._check_shape(previous_active, "previous_active")
         old = dist.copy()
         prepared = self._shrink_levels(dist[:, :, None], removals, previous_active)
         if prepared is None:
@@ -694,23 +644,11 @@ class FrontierKernel:
         changed-slot count per block.
         """
         del sweep_mode
-        compiled = self.compiled
-        active = compiled.active_mask
-        t_count, n = active.shape
-        r_count = len(blocks)
-        if not r_count:
+        if not blocks:
             return []
         for block in blocks:
-            if block.shape != (t_count, n):
-                raise GraphError(
-                    f"distance block shape {block.shape} does not match the "
-                    f"compiled artifact's {(t_count, n)}"
-                )
-        if previous_active.shape != (t_count, n):
-            raise GraphError(
-                f"previous_active shape {previous_active.shape} does not "
-                f"match the compiled artifact's {(t_count, n)}"
-            )
+            self._check_shape(block, "distance block")
+        self._check_shape(previous_active, "previous_active")
         dist = np.stack(blocks, axis=2).astype(np.int32)  # (T, N, R)
         old = np.stack(blocks, axis=2)
         prepared = self._shrink_levels(dist, removals, previous_active)
@@ -721,7 +659,7 @@ class FrontierKernel:
                 seeds_mask, dmin[None, None, :].astype(np.int32), work
             )
             if seeds_mask.any():
-                self._resweep_group(work, seeds_mask, active)
+                self._resweep_group(work, seeds_mask, self.compiled.active_mask)
             dist = np.where(work >= _UNREACHED, -1, work)
         changed = (dist != old).sum(axis=(0, 1))
         for col, block in enumerate(blocks):
@@ -749,19 +687,15 @@ class FrontierKernel:
         """
         compiled = self.compiled
         active = compiled.active_mask
-        t_count, n = active.shape
-        r_count = dist.shape[2]
         big = int(_UNREACHED)
-        dmin = np.full(r_count, big, dtype=np.int64)
-        time_index = compiled.time_index
-        node_index = compiled.node_index
+        dmin = np.full(dist.shape[2], big, dtype=np.int64)
+        axes = compiled.axes
         directed = compiled.is_directed
         for u, v, t in removals:
-            ti = time_index.get(t)
-            iu = node_index.get(u)
-            iv = node_index.get(v)
-            if ti is None or iu is None or iv is None or iu == iv:
+            su, sv = axes.slot(u, t), axes.slot(v, t)
+            if su is None or sv is None or su == sv:
                 continue  # outside the universe, or a self-loop (never tight)
+            ti, iu, iv = su[0], su[1], sv[1]
             pairs = ((iu, iv),) if directed else ((iu, iv), (iv, iu))
             for a, b in pairs:
                 tail = dist[ti, a, :].astype(np.int64)
@@ -783,26 +717,31 @@ class FrontierKernel:
         invalid = dist >= dmin[None, None, :]
         frontier = dist == (dmin - 1)[None, None, :]
         dist[invalid] = -1
-        mats = compiled.forward_operators
-        counter = self.counter
-        reach = np.zeros((t_count, n, r_count), dtype=bool)
-        touched = np.flatnonzero(frontier.any(axis=(1, 2)))
-        for ti in touched.tolist():
-            reach[ti] = (mats[ti] @ frontier[ti].astype(np.int32)) > 0
-            if counter is not None:
-                counter.multiply_adds += 2 * int(mats[ti].nnz) * r_count
-        if t_count > 1:
-            carried = np.logical_or.accumulate(frontier, axis=0)
-            reach[1:] |= carried[:-1]
-            if counter is not None:
-                counter.column_checks += t_count * n * r_count
         seeds_mask = (
-            reach
+            self._step_group(frontier)
             & active[:, :, None]
             & (dist < 0)
             & (dmin < big)[None, None, :]
         )
         return dmin, seeds_mask
+
+    def _step_group(self, frontier: np.ndarray) -> np.ndarray:
+        """Slots one spatial or causal step after a ``(T, N, R)`` frontier:
+        one CSR x ``(N, R)`` product per touched snapshot, then the carry
+        to every later snapshot."""
+        t_count, n, r_count = frontier.shape
+        mats = self.compiled.forward_operators
+        counter = self.counter
+        reach = np.zeros_like(frontier)
+        for ti in np.flatnonzero(frontier.any(axis=(1, 2))).tolist():
+            reach[ti] = (mats[ti] @ frontier[ti].astype(np.int32)) > 0
+            if counter is not None:
+                counter.multiply_adds += 2 * int(mats[ti].nnz) * r_count
+        if t_count > 1:
+            reach[1:] |= np.logical_or.accumulate(frontier, axis=0)[:-1]
+            if counter is not None:
+                counter.column_checks += t_count * n * r_count
+        return reach
 
     def _resweep_group(
         self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
@@ -815,26 +754,13 @@ class FrontierKernel:
         step is one CSR × ``(N, R)`` product instead of R SpMVs spread over
         R separate relaxations.
         """
-        t_count, n, r_count = work.shape
-        mats = self.compiled.forward_operators
-        counter = self.counter
-        changed = np.zeros(r_count, dtype=np.int64)
+        changed = np.zeros(work.shape[2], dtype=np.int64)
         while improved.any():
             level = int(work[improved].min())
             frontier = improved & (work == level)
             changed += frontier.sum(axis=(0, 1))
             improved &= ~frontier
-            reach = np.zeros((t_count, n, r_count), dtype=bool)
-            touched = np.flatnonzero(frontier.any(axis=(1, 2)))
-            for ti in touched.tolist():
-                reach[ti] = (mats[ti] @ frontier[ti].astype(np.int32)) > 0
-                if counter is not None:
-                    counter.multiply_adds += 2 * int(mats[ti].nnz) * r_count
-            if t_count > 1:
-                carried = np.logical_or.accumulate(frontier, axis=0)
-                reach[1:] |= carried[:-1]
-                if counter is not None:
-                    counter.column_checks += t_count * n * r_count
+            reach = self._step_group(frontier)
             better = reach & active[:, :, None] & (work > level + 1)
             if better.any():
                 work[better] = level + 1
@@ -1378,20 +1304,9 @@ class FrontierKernel:
             return dist, parent_t, parent_v
         return dist
 
-    def _reached_dict(
-        self,
-        dist: np.ndarray,
-        col: int,
-    ) -> dict[TemporalNodeTuple, int]:
-        """Decode one column of the distance array back into temporal-node labels."""
-        labels = self._labels
-        times = self._times
-        t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
-        d_arr = dist[t_arr, v_arr, col]
-        reached: dict[TemporalNodeTuple, int] = {}
-        for ti, vi, d in zip(t_arr.tolist(), v_arr.tolist(), d_arr.tolist()):
-            reached[(labels[vi], times[ti])] = d
-        return reached
+    def _reached_view(self, dist: np.ndarray, col: int) -> ReachedView:
+        """One column of a ``(T, N, R)`` distance block as a ``reached`` view."""
+        return ReachedView(dist[:, :, col], self.compiled.axes)
 
     def _parents_dict(
         self,
@@ -1401,8 +1316,8 @@ class FrontierKernel:
         col: int,
     ) -> dict[TemporalNodeTuple, TemporalNodeTuple]:
         """Decode one column of the parent-slot arrays into temporal-node labels."""
-        labels = self._labels
-        times = self._times
+        axes = self.compiled.axes
+        labels, times = axes.labels, axes.times
         t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
         pt_arr = parent_t[t_arr, v_arr, col]
         pv_arr = parent_v[t_arr, v_arr, col]

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.engine import bitops
+from repro.engine.answers import ReachedView, hit_times, node_times, node_values
 from repro.engine.frontier import FrontierKernel
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
@@ -108,19 +109,7 @@ class LabelKernel:
         readout along the time axis: node ``v`` maps to the smallest ``t``
         with ``(v, t)`` reached.  Roots themselves map to their own time.
         """
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        for chunk, dist in self.frontier._chunked_distances(
-            roots, direction="forward", chunk_size=chunk_size, sweep_mode=sweep_mode
-        ):
-            reached = dist >= 0  # (T, N, R)
-            hit = reached.any(axis=0)
-            first = reached.argmax(axis=0)  # index of the first True per (N, R)
-            for col, root in enumerate(chunk):
-                out[root] = {
-                    self._labels[vi]: self._times[first[vi, col]]
-                    for vi in np.nonzero(hit[:, col])[0].tolist()
-                }
-        return out
+        return self._time_readout(roots, "forward", chunk_size, sweep_mode)
 
     def latest_departures(
         self,
@@ -135,19 +124,19 @@ class LabelKernel:
         boolean sweep (executed on the lazily built transposed stacks), then
         a running maximum along the time axis.
         """
-        t_count = self.compiled.num_snapshots
+        return self._time_readout(targets, "backward", chunk_size, sweep_mode)
+
+    def _time_readout(
+        self, roots, direction: str, chunk_size: int, sweep_mode: str | None
+    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+        axes = self.compiled.axes
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
         for chunk, dist in self.frontier._chunked_distances(
-            targets, direction="backward", chunk_size=chunk_size, sweep_mode=sweep_mode
+            roots, direction=direction, chunk_size=chunk_size, sweep_mode=sweep_mode
         ):
-            reached = dist >= 0
-            hit = reached.any(axis=0)
-            last = t_count - 1 - reached[::-1].argmax(axis=0)
-            for col, target in enumerate(chunk):
-                out[target] = {
-                    self._labels[vi]: self._times[last[vi, col]]
-                    for vi in np.nonzero(hit[:, col])[0].tolist()
-                }
+            index = hit_times(dist >= 0, last=direction == "backward")  # (N, R)
+            for col, root in enumerate(chunk):
+                out[root] = node_times(index[:, col], axes)
         return out
 
     # ------------------------------------------------------------------ #
@@ -324,13 +313,15 @@ class LabelKernel:
         *,
         chunk_size: int = 128,
         sweep_mode: str | None = None,
-    ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
+    ) -> dict[TemporalNodeTuple, ReachedView]:
         """Per root: minimal static-edge count to every reachable temporal node.
 
         The decoded form of the ``(spatial_cost=1, causal_cost=0)`` sweep —
-        the dynamic-walk hop convention in which causal waiting is free.
+        the dynamic-walk hop convention in which causal waiting is free —
+        as read-only ``{(v, t): hops}`` views.
         """
-        out: dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]] = {}
+        axes = self.compiled.axes
+        out: dict[TemporalNodeTuple, ReachedView] = {}
         for chunk, labels in self.zero_one_labels(
             roots,
             spatial_cost=1,
@@ -339,14 +330,7 @@ class LabelKernel:
             sweep_mode=sweep_mode,
         ):
             for col, root in enumerate(chunk):
-                t_arr, v_arr = np.nonzero(labels[:, :, col] >= 0)
-                hops = labels[t_arr, v_arr, col]
-                out[root] = {
-                    (self._labels[vi], self._times[ti]): int(h)
-                    for ti, vi, h in zip(
-                        t_arr.tolist(), v_arr.tolist(), hops.tolist()
-                    )
-                }
+                out[root] = ReachedView(labels[:, :, col], axes)
         return out
 
     # ------------------------------------------------------------------ #
@@ -382,10 +366,7 @@ class LabelKernel:
             chunk = sources[start : start + chunk_size]
             steps = run(chunk, horizon, start_index)
             for col, source in enumerate(chunk):
-                known = np.nonzero(steps[:, col] >= 0)[0]
-                out[source] = {
-                    self._labels[vi]: int(steps[vi, col]) for vi in known.tolist()
-                }
+                out[source] = node_values(steps[:, col], self.compiled.axes)
         return out
 
     def tang_steps_block(
@@ -474,7 +455,7 @@ class LabelKernel:
     def _tang_chunk_classic(
         self, chunk: Sequence[Node], horizon: int, start_index: int
     ) -> np.ndarray:
-        node_index = self.compiled._node_index
+        node_index = self.compiled.axes.node_index
         mats = self.compiled.forward_operators
         t_count = self.compiled.num_snapshots
         n = self.compiled.num_nodes
@@ -511,7 +492,7 @@ class LabelKernel:
         ``active_row`` — Tang's convention has no activeness requirement)
         and the newly-informed readout decodes only the fresh words.
         """
-        node_index = self.compiled._node_index
+        node_index = self.compiled.axes.node_index
         mats = self.compiled.forward_operators
         t_count = self.compiled.num_snapshots
         n = self.compiled.num_nodes

@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
+from repro.engine.answers import ReachedView, hit_times, node_times, node_values
 from repro.engine.frontier import (
     FrontierKernel,
     _harmonic_accumulate,
@@ -410,8 +411,7 @@ def _run_shard_task(
     ``("zero_one", spatial_cost, causal_cost)`` or ``("tang", horizon,
     start_index)`` — and ``kind`` picks the partial shipped back to the
     driver, so the process backend returns reductions (reach masks, harmonic
-    sums, hit indices, decoded dictionaries) instead of full blocks whenever
-    the readout allows.
+    sums, hit indices) instead of full blocks whenever the readout allows.
     """
     family = spec[0]
     if family == "tang":
@@ -430,12 +430,10 @@ def _run_shard_task(
         block, boundary_out = _zero_one_shard_sweep(
             kernel, seeds, boundary, spec[1], spec[2]
         )
-    return _reduce_block(kernel, kind, block, global_start), boundary_out
+    return _reduce_block(kind, block, global_start), boundary_out
 
 
-def _reduce_block(
-    kernel: FrontierKernel, kind: str, block: np.ndarray, global_start: int
-) -> object:
+def _reduce_block(kind: str, block: np.ndarray, global_start: int) -> object:
     """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
     if kind == "block":
         return block
@@ -447,18 +445,8 @@ def _reduce_block(
         # float sums are bit-identical to the monolithic readout
         return _harmonic_rows(block)
     if kind in ("first", "last"):
-        reached = block >= 0
-        hit = reached.any(axis=0)
-        if kind == "first":
-            local = reached.argmax(axis=0)
-        else:
-            local = block.shape[0] - 1 - reached[::-1].argmax(axis=0)
-        return np.where(hit, np.int32(global_start) + local, -1).astype(np.int32)
-    if kind == "reached":
-        # decoded per-column dictionaries: the shard owns the full node
-        # universe and its own slice of real time labels, so local decoding
-        # is globally correct (and what keeps process results small)
-        return [kernel._reached_dict(block, col) for col in range(block.shape[2])]
+        local = hit_times(block >= 0, last=kind == "last")
+        return np.where(local >= 0, global_start + local, -1).astype(np.int32)
     raise GraphError(f"unknown shard partial kind {kind!r}")
 
 
@@ -484,12 +472,6 @@ def _merge_partials(kind: str, parts: Sequence) -> object:
             merged = np.where(
                 merged < 0, part, np.where(part < 0, merged, combine(merged, part))
             )
-        return merged
-    if kind == "reached":
-        merged = [dict(d) for d in parts[0]]
-        for part in parts[1:]:
-            for col, d in enumerate(part):
-                merged[col].update(d)
         return merged
     if kind == "steps":
         merged = parts[0].copy()
@@ -583,9 +565,6 @@ class ShardedSweepDriver:
             )
         self.num_workers = max(1, int(num_workers))
         self._mp_context = mp_context
-        self._labels = sharded.node_labels
-        self._node_index = sharded.node_index
-        self._times = sharded.times
         self._kernels: dict[int, FrontierKernel] = {}
         self._processes: list = []
         self._task_queues: dict[int, object] = {}
@@ -599,11 +578,11 @@ class ShardedSweepDriver:
 
     @property
     def node_labels(self) -> list[Node]:
-        return list(self._labels)
+        return self.sharded.node_labels
 
     @property
     def times(self) -> tuple[Time, ...]:
-        return tuple(self._times)
+        return self.sharded.times
 
     @property
     def num_nodes(self) -> int:
@@ -935,8 +914,8 @@ class ShardedSweepDriver:
         """
         root = (root[0], root[1])
         spec = ("bfs", direction == "forward", bool(reverse_edges))
-        for _, merged in self._frontier_chunks([root], spec, "reached", 1):
-            return BFSResult(root=root, reached=merged[0])
+        for _, block in self._frontier_chunks([root], spec, "block", 1):
+            return BFSResult(root=root, reached=self._reached_view(block, 0))
         raise GraphError("empty sweep")  # pragma: no cover - single chunk above
 
     def multi_source(
@@ -957,8 +936,8 @@ class ShardedSweepDriver:
         boundary = BoundaryBlock.empty(1, self.sharded.num_nodes)
         plan = (self._split_seeds(seeds), boundary)
         spec = ("bfs", direction == "forward", False)
-        (merged,) = self._run_chunks(spec, "reached", [plan])
-        return BFSResult(root=tuple(active_roots), reached=merged[0])
+        (block,) = self._run_chunks(spec, "block", [plan])
+        return BFSResult(root=tuple(active_roots), reached=self._reached_view(block, 0))
 
     def batch(
         self,
@@ -973,11 +952,13 @@ class ShardedSweepDriver:
         active_roots = [r for r in root_list if self.is_active(*r)]
         spec = ("bfs", direction == "forward", False)
         results: dict[TemporalNodeTuple, BFSResult] = {}
-        for chunk, merged in self._frontier_chunks(
-            active_roots, spec, "reached", chunk_size
+        for chunk, block in self._frontier_chunks(
+            active_roots, spec, "block", chunk_size
         ):
             for col, root in enumerate(chunk):
-                results[root] = BFSResult(root=root, reached=merged[col])
+                results[root] = BFSResult(
+                    root=root, reached=self._reached_view(block, col)
+                )
         return results
 
     def distance_blocks(
@@ -1062,19 +1043,7 @@ class ShardedSweepDriver:
         keeps the minimum, which equals the monolithic running-minimum
         readout exactly.
         """
-        spec = ("bfs", True, False)
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        root_list = [(r[0], r[1]) for r in roots]
-        for chunk, first in self._frontier_chunks(
-            root_list, spec, "first", chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                hits = np.nonzero(first[:, col] >= 0)[0]
-                out[root] = {
-                    self._labels[vi]: self._times[first[vi, col]]
-                    for vi in hits.tolist()
-                }
-        return out
+        return self._time_readout(roots, "first", chunk_size)
 
     def latest_departures(
         self,
@@ -1084,18 +1053,18 @@ class ShardedSweepDriver:
         sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per target: latest departing time per node identity (backward sweep)."""
-        spec = ("bfs", False, False)
+        return self._time_readout(targets, "last", chunk_size)
+
+    def _time_readout(
+        self, roots, kind: str, chunk_size: int | None
+    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+        spec = ("bfs", kind == "first", False)  # "last" runs the backward sweep
+        root_list = [(r[0], r[1]) for r in roots]
+        axes = self.sharded.axes
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        target_list = [(r[0], r[1]) for r in targets]
-        for chunk, last in self._frontier_chunks(
-            target_list, spec, "last", chunk_size
-        ):
-            for col, target in enumerate(chunk):
-                hits = np.nonzero(last[:, col] >= 0)[0]
-                out[target] = {
-                    self._labels[vi]: self._times[last[vi, col]]
-                    for vi in hits.tolist()
-                }
+        for chunk, index in self._frontier_chunks(root_list, spec, kind, chunk_size):
+            for col, root in enumerate(chunk):
+                out[root] = node_times(index[:, col], axes)
         return out
 
     def zero_one_labels(
@@ -1124,16 +1093,16 @@ class ShardedSweepDriver:
         *,
         chunk_size: int | None = None,
         sweep_mode: str | None = None,
-    ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
+    ) -> dict[TemporalNodeTuple, ReachedView]:
         """Per root: minimal static-edge count per reached slot (hops decoded)."""
         spec = ("zero_one", 1, 0)
-        out: dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]] = {}
+        out: dict[TemporalNodeTuple, ReachedView] = {}
         root_list = [(r[0], r[1]) for r in roots]
-        for chunk, merged in self._frontier_chunks(
-            root_list, spec, "reached", chunk_size
+        for chunk, block in self._frontier_chunks(
+            root_list, spec, "block", chunk_size
         ):
             for col, root in enumerate(chunk):
-                out[root] = merged[col]
+                out[root] = self._reached_view(block, col)
         return out
 
     def tang_steps(
@@ -1153,13 +1122,14 @@ class ShardedSweepDriver:
         n = self.sharded.num_nodes
         w = bitops.words_for(n)
         sources = list(source_nodes)
+        node_index = self.sharded.axes.node_index
         chunks: list[list[Node]] = []
         plans: list[tuple] = []
         for start in range(0, len(sources), size):
             chunk = sources[start : start + size]
             informed = np.zeros((len(chunk), w), dtype=np.uint64)
             for col, source in enumerate(chunk):
-                vi = self._node_index.get(source)
+                vi = node_index.get(source)
                 if vi is not None:
                     informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
             chunks.append(chunk)
@@ -1167,29 +1137,15 @@ class ShardedSweepDriver:
         out: dict[Node, dict[Node, int]] = {}
         for chunk, steps in zip(chunks, self._run_chunks(spec, "steps", plans)):
             for col, source in enumerate(chunk):
-                vi = self._node_index.get(source)
+                vi = node_index.get(source)
                 if vi is not None:
                     steps[vi, col] = 0
-                known = np.nonzero(steps[:, col] >= 0)[0]
-                out[source] = {
-                    self._labels[v]: int(steps[v, col]) for v in known.tolist()
-                }
+                out[source] = node_values(steps[:, col], self.sharded.axes)
         return out
 
-    # ------------------------------------------------------------------ #
-    # decoding helpers (the serving layer's surface)                      #
-    # ------------------------------------------------------------------ #
-
-    def reached_dict(
-        self, dist: np.ndarray, col: int
-    ) -> dict[TemporalNodeTuple, int]:
-        """Decode one column of a global ``(T, N, R)`` block, as the kernel does."""
-        t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
-        d_arr = dist[t_arr, v_arr, col]
-        return {
-            (self._labels[vi], self._times[ti]): int(d)
-            for ti, vi, d in zip(t_arr.tolist(), v_arr.tolist(), d_arr.tolist())
-        }
+    def _reached_view(self, block: np.ndarray, col: int) -> ReachedView:
+        """One column of a merged global ``(T, N, R)`` block as a view."""
+        return ReachedView(block[:, :, col], self.sharded.axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

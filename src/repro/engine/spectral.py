@@ -447,7 +447,7 @@ class SpectralKernel:
         the dense path bit for bit (including overflow wrap-around, which
         is associative modulo 2**64).
         """
-        index = self.compiled._node_index
+        index = self.compiled.axes.node_index
         i = index[origin]
         j = index[target]
         n = self.compiled.num_nodes

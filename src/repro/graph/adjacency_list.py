@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator, Sequence
 
-from repro.exceptions import GraphError, TimestampNotFoundError
+from repro.exceptions import TimestampNotFoundError
 from repro.graph.base import (
     BaseEvolvingGraph,
     EdgeTuple,
@@ -21,6 +21,7 @@ from repro.graph.base import (
     TemporalEdgeTuple,
     TemporalNodeTuple,
     Time,
+    as_temporal_edge,
 )
 
 __all__ = ["AdjacencyListEvolvingGraph"]
@@ -205,13 +206,7 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         """Insert many ``(u, v, t)`` edges; return the number actually added."""
         added = 0
         for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            added += self.add_edge(u, v, t)
+            added += self.add_edge(*as_temporal_edge(item))
         return added
 
     def remove_edges_from(self, edges: Iterable[TemporalEdgeTuple]) -> int:
@@ -223,13 +218,7 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         """
         removed = 0
         for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            removed += self.remove_edge(u, v, t)
+            removed += self.remove_edge(*as_temporal_edge(item))
         return removed
 
     def _mark_active(self, node: Node, time: Time) -> None:

@@ -25,7 +25,7 @@ import bisect
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterator, Sequence
 
-from repro.exceptions import InactiveNodeError, TimestampNotFoundError
+from repro.exceptions import GraphError, InactiveNodeError
 
 Node = Hashable
 Time = Hashable
@@ -40,7 +40,19 @@ __all__ = [
     "EdgeTuple",
     "TemporalEdgeTuple",
     "BaseEvolvingGraph",
+    "as_temporal_edge",
 ]
+
+
+def as_temporal_edge(item) -> TemporalEdgeTuple:
+    """``item`` unpacked as a ``(u, v, t)`` triple; :class:`GraphError` if not."""
+    try:
+        u, v, t = item
+    except (TypeError, ValueError) as exc:
+        raise GraphError(
+            f"temporal edges must be (u, v, t) triples, got {item!r}"
+        ) from exc
+    return u, v, t
 
 
 class BaseEvolvingGraph(ABC):
@@ -183,10 +195,6 @@ class BaseEvolvingGraph(ABC):
     def has_timestamp(self, time: Time) -> bool:
         """Return ``True`` when a snapshot with label ``time`` exists."""
         return time in set(self.timestamps)
-
-    def _require_timestamp(self, time: Time) -> None:
-        if not self.has_timestamp(time):
-            raise TimestampNotFoundError(time)
 
     def nodes_at(self, time: Time) -> set[Node]:
         """All nodes that appear in at least one edge of the snapshot at ``time``."""

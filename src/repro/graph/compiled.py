@@ -51,7 +51,41 @@ from repro.exceptions import GraphError
 from repro.graph.adjacency_matrix import MatrixSequenceEvolvingGraph
 from repro.graph.base import BaseEvolvingGraph, EdgeTuple, Node, Time
 
-__all__ = ["CompiledTemporalGraph"]
+__all__ = ["CompiledTemporalGraph", "LabelAxes"]
+
+
+class LabelAxes:
+    """Node and time labels of a compiled surface, with the slot lookup.
+
+    A surface shares its axes with every answer decoded from it.  Pickles as
+    the two label sequences only, so an answer shipped between processes
+    never drags its surface's operator stacks along.
+    """
+
+    __slots__ = ("labels", "times", "node_index", "time_index")
+
+    def __init__(self, labels: Sequence[Node], times: Sequence[Time]) -> None:
+        self.labels: list[Node] = list(labels)
+        self.times: tuple[Time, ...] = tuple(times)
+        self.node_index: dict[Node, int] = {v: i for i, v in enumerate(self.labels)}
+        self.time_index: dict[Time, int] = {t: i for i, t in enumerate(self.times)}
+
+    def slot(self, node: Node, time: Time) -> tuple[int, int] | None:
+        """The ``(time index, node index)`` of a temporal node, or ``None``."""
+        ti = self.time_index.get(time)
+        vi = self.node_index.get(node)
+        if ti is None or vi is None:
+            return None
+        return ti, vi
+
+    def same_as(self, other: LabelAxes) -> bool:
+        """Whether both axes index slots identically."""
+        return other is self or (
+            other.times == self.times and other.labels == self.labels
+        )
+
+    def __reduce__(self):
+        return (LabelAxes, (self.labels, self.times))
 
 
 class CompiledTemporalGraph:
@@ -83,10 +117,7 @@ class CompiledTemporalGraph:
             raise GraphError(
                 f"got {len(forward_operators)} operators for {len(times)} snapshots"
             )
-        self._labels: list[Node] = list(node_labels)
-        self._node_index: dict[Node, int] = {v: i for i, v in enumerate(self._labels)}
-        self._times: list[Time] = list(times)
-        self._time_index: dict[Time, int] = {t: i for i, t in enumerate(self._times)}
+        self._axes = LabelAxes(node_labels, times)
         self._forward: list[sp.csr_matrix] = list(forward_operators)
         self._backward: list[sp.csr_matrix] | None = (
             list(backward_operators) if backward_operators is not None else None
@@ -112,7 +143,7 @@ class CompiledTemporalGraph:
         self.delta_stats: dict[str, int] | None = None
 
         if active_mask is None:
-            active = np.zeros((len(self._times), self._n), dtype=bool)
+            active = np.zeros((len(times), self._n), dtype=bool)
             for k, m in enumerate(self._forward):
                 active[k] = _active_row(m)
         else:
@@ -211,7 +242,7 @@ class CompiledTemporalGraph:
         times = list(graph.timestamps)
         if not times:
             return cls.from_graph(graph)  # raises the usual GraphError
-        prev_pos = previous._time_index
+        prev_pos = previous._axes.time_index
         prev_stamps = previous._snapshot_versions
         if any(t not in snap_now for t in prev_stamps):  # snapshot removed
             return cls.from_graph(graph)
@@ -223,7 +254,7 @@ class CompiledTemporalGraph:
         if not dirty:
             # the version moved but no snapshot stamp did: unknown mutation
             return cls.from_graph(graph)
-        index = previous._node_index
+        index = previous._axes.node_index
         n = previous._n
         directed = previous._directed
         dirty_set = set(dirty)
@@ -360,7 +391,7 @@ class CompiledTemporalGraph:
         if not directed:
             backward = forward
         artifact = cls(
-            node_labels=previous._labels,
+            node_labels=previous._axes.labels,
             times=times,
             forward_operators=forward,
             is_directed=directed,
@@ -383,22 +414,27 @@ class CompiledTemporalGraph:
     @property
     def node_labels(self) -> list[Node]:
         """Node labels indexing operator rows/columns."""
-        return list(self._labels)
+        return list(self._axes.labels)
 
     @property
     def node_index(self) -> dict[Node, int]:
         """Mapping from node label to its row/column index."""
-        return dict(self._node_index)
+        return dict(self._axes.node_index)
 
     @property
     def times(self) -> tuple[Time, ...]:
         """Snapshot labels, in time order."""
-        return tuple(self._times)
+        return self._axes.times
 
     @property
     def time_index(self) -> dict[Time, int]:
         """Mapping from timestamp label to its snapshot position."""
-        return dict(self._time_index)
+        return dict(self._axes.time_index)
+
+    @property
+    def axes(self) -> LabelAxes:
+        """The label axes, shared with every answer decoded from this artifact."""
+        return self._axes
 
     @property
     def num_nodes(self) -> int:
@@ -408,7 +444,7 @@ class CompiledTemporalGraph:
     @property
     def num_snapshots(self) -> int:
         """Number of snapshots ``T``."""
-        return len(self._times)
+        return len(self._axes.times)
 
     @property
     def nnz(self) -> int:
@@ -517,19 +553,12 @@ class CompiledTemporalGraph:
 
     def is_active(self, node: Node, time: Time) -> bool:
         """Whether ``(node, time)`` is active (Definition 3), per the compiled mask."""
-        ti = self._time_index.get(time)
-        vi = self._node_index.get(node)
-        if ti is None or vi is None:
-            return False
-        return bool(self._active[ti, vi])
+        slot = self._axes.slot(node, time)
+        return slot is not None and bool(self._active[slot])
 
     def slot(self, node: Node, time: Time) -> tuple[int, int] | None:
         """The ``(time index, node index)`` of a temporal node, or ``None``."""
-        ti = self._time_index.get(time)
-        vi = self._node_index.get(node)
-        if ti is None or vi is None:
-            return None
-        return ti, vi
+        return self._axes.slot(node, time)
 
     # ------------------------------------------------------------------ #
     # serialization                                                       #

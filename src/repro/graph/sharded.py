@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph, Node, Time
-from repro.graph.compiled import CompiledTemporalGraph
+from repro.graph.compiled import CompiledTemporalGraph, LabelAxes
 
 __all__ = ["ShardedTemporalGraph", "compute_shard_layout", "operator_stack_bytes"]
 
@@ -50,6 +50,21 @@ def operator_stack_bytes(operators: Sequence) -> int:
     """Total CSR buffer bytes (``data`` + ``indices`` + ``indptr``) of a stack."""
     return int(
         sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in operators)
+    )
+
+
+def _slice(compiled: CompiledTemporalGraph, a: int, b: int) -> CompiledTemporalGraph:
+    """Snapshots ``a:b`` of ``compiled`` as a shard sharing its matrix
+    objects and activeness rows (zero-copy)."""
+    backward = compiled.backward_operators if compiled.transposes_built else None
+    return CompiledTemporalGraph(
+        node_labels=compiled.node_labels,
+        times=compiled.times[a:b],
+        forward_operators=compiled.forward_operators[a:b],
+        is_directed=compiled.is_directed,
+        mutation_version=compiled.mutation_version,
+        backward_operators=backward[a:b] if backward else None,
+        active_mask=compiled.active_mask[a:b],
     )
 
 
@@ -107,22 +122,19 @@ class ShardedTemporalGraph:
         shard_nnz: Sequence[int] | None = None,
         store: ShardStore | None = None,
     ) -> None:
-        self._labels: list[Node] = list(node_labels)
-        self._node_index: dict[Node, int] = {v: i for i, v in enumerate(self._labels)}
-        self._times: list[Time] = list(times)
-        self._time_index: dict[Time, int] = {t: i for i, t in enumerate(self._times)}
+        self._axes = LabelAxes(node_labels, times)
         self._boundaries: list[tuple[int, int]] = [
             (int(a), int(b)) for a, b in boundaries
         ]
         self._validate_boundaries()
         self._version = int(mutation_version)
         self._directed = bool(is_directed)
-        self._n = len(self._labels)
+        self._n = len(self._axes.labels)
         mask = np.asarray(active_mask, dtype=bool)
-        if mask.shape != (len(self._times), self._n):
+        if mask.shape != (len(self._axes.times), self._n):
             raise GraphError(
                 f"active mask shape {mask.shape} does not match "
-                f"({len(self._times)}, {self._n})"
+                f"({len(self._axes.times)}, {self._n})"
             )
         self._active = mask
         self._store = store
@@ -169,13 +181,13 @@ class ShardedTemporalGraph:
             if a != expected or b <= a:
                 raise GraphError(
                     f"shard boundaries {self._boundaries} are not a contiguous "
-                    f"cover of the {len(self._times)} snapshots"
+                    f"cover of the {len(self._axes.times)} snapshots"
                 )
             expected = b
-        if expected != len(self._times):
+        if expected != len(self._axes.times):
             raise GraphError(
                 f"shard boundaries {self._boundaries} do not cover all "
-                f"{len(self._times)} snapshots"
+                f"{len(self._axes.times)} snapshots"
             )
 
     # ------------------------------------------------------------------ #
@@ -202,30 +214,23 @@ class ShardedTemporalGraph:
             if num_shards is None:
                 raise GraphError("from_compiled needs num_shards or boundaries")
             boundaries = compute_shard_layout(compiled, num_shards)
-        times = compiled.times
-        forward = compiled.forward_operators
-        backward = compiled.backward_operators if compiled.transposes_built else None
-        mask = compiled.active_mask
-        shards: list[CompiledTemporalGraph] = []
-        for a, b in boundaries:
-            shards.append(
-                CompiledTemporalGraph(
-                    node_labels=compiled.node_labels,
-                    times=times[a:b],
-                    forward_operators=forward[a:b],
-                    is_directed=compiled.is_directed,
-                    mutation_version=compiled.mutation_version,
-                    backward_operators=backward[a:b] if backward else None,
-                    active_mask=mask[a:b],
-                )
-            )
+        shards = [_slice(compiled, a, b) for a, b in boundaries]
+        return cls._assemble(compiled, boundaries, shards)
+
+    @classmethod
+    def _assemble(
+        cls,
+        compiled: CompiledTemporalGraph,
+        boundaries: Sequence[tuple[int, int]],
+        shards: list[CompiledTemporalGraph],
+    ) -> "ShardedTemporalGraph":
         return cls(
             node_labels=compiled.node_labels,
-            times=times,
+            times=compiled.times,
             boundaries=boundaries,
             mutation_version=compiled.mutation_version,
             is_directed=compiled.is_directed,
-            active_mask=mask,
+            active_mask=compiled.active_mask,
             shards=shards,
         )
 
@@ -268,8 +273,8 @@ class ShardedTemporalGraph:
         if (
             previous is None
             or previous.store_backed
-            or previous._labels != compiled.node_labels
-            or previous._times != list(compiled.times)
+            or previous._axes.labels != compiled.node_labels
+            or previous._axes.times != compiled.times
             or previous._directed != compiled.is_directed
         ):
             if num_shards is None:
@@ -279,10 +284,6 @@ class ShardedTemporalGraph:
             return sharded
         boundaries = previous.boundaries
         forward = compiled.forward_operators
-        backward = (
-            compiled.backward_operators if compiled.transposes_built else None
-        )
-        mask = compiled.active_mask
         shards: list[CompiledTemporalGraph] = []
         reused = 0
         for i, (a, b) in enumerate(boundaries):
@@ -297,26 +298,8 @@ class ShardedTemporalGraph:
                 shards.append(prev_shard)
                 reused += 1
                 continue
-            shards.append(
-                CompiledTemporalGraph(
-                    node_labels=compiled.node_labels,
-                    times=compiled.times[a:b],
-                    forward_operators=forward[a:b],
-                    is_directed=compiled.is_directed,
-                    mutation_version=compiled.mutation_version,
-                    backward_operators=backward[a:b] if backward else None,
-                    active_mask=mask[a:b],
-                )
-            )
-        sharded = cls(
-            node_labels=compiled.node_labels,
-            times=compiled.times,
-            boundaries=boundaries,
-            mutation_version=compiled.mutation_version,
-            is_directed=compiled.is_directed,
-            active_mask=mask,
-            shards=shards,
-        )
+            shards.append(_slice(compiled, a, b))
+        sharded = cls._assemble(compiled, boundaries, shards)
         sharded.delta_stats = {"rebuilt": len(boundaries) - reused, "reused": reused}
         return sharded
 
@@ -327,17 +310,22 @@ class ShardedTemporalGraph:
     @property
     def node_labels(self) -> list[Node]:
         """Node labels of the shared universe (identical across shards)."""
-        return list(self._labels)
+        return list(self._axes.labels)
 
     @property
     def node_index(self) -> dict[Node, int]:
         """Mapping from node label to its row/column index."""
-        return dict(self._node_index)
+        return dict(self._axes.node_index)
 
     @property
     def times(self) -> tuple[Time, ...]:
         """All snapshot labels, in time order, across every shard."""
-        return tuple(self._times)
+        return self._axes.times
+
+    @property
+    def axes(self) -> LabelAxes:
+        """The global label axes, shared with every answer decoded from here."""
+        return self._axes
 
     @property
     def num_nodes(self) -> int:
@@ -345,7 +333,7 @@ class ShardedTemporalGraph:
 
     @property
     def num_snapshots(self) -> int:
-        return len(self._times)
+        return len(self._axes.times)
 
     @property
     def num_shards(self) -> int:
@@ -354,11 +342,6 @@ class ShardedTemporalGraph:
     @property
     def boundaries(self) -> tuple[tuple[int, int], ...]:
         """Half-open global snapshot ranges, one per shard, in time order."""
-        return tuple(self._boundaries)
-
-    @property
-    def layout_key(self) -> tuple[tuple[int, int], ...]:
-        """Hashable shard-layout identity (the dispatch cache's second key)."""
         return tuple(self._boundaries)
 
     @property
@@ -395,19 +378,12 @@ class ShardedTemporalGraph:
 
     def is_active(self, node: Node, time: Time) -> bool:
         """Whether ``(node, time)`` is active, per the eager global mask."""
-        ti = self._time_index.get(time)
-        vi = self._node_index.get(node)
-        if ti is None or vi is None:
-            return False
-        return bool(self._active[ti, vi])
+        slot = self._axes.slot(node, time)
+        return slot is not None and bool(self._active[slot])
 
     def slot(self, node: Node, time: Time) -> tuple[int, int] | None:
         """The global ``(time index, node index)`` of a temporal node."""
-        ti = self._time_index.get(time)
-        vi = self._node_index.get(node)
-        if ti is None or vi is None:
-            return None
-        return ti, vi
+        return self._axes.slot(node, time)
 
     def shard_of_snapshot(self, position: int) -> int:
         """Index of the shard containing global snapshot ``position``."""

@@ -42,6 +42,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Literal, Sequence
 
 from repro.core.bfs import BFSResult, evolving_bfs
+from repro.engine.answers import ReachedView
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
 from repro.graph.compiled import CompiledTemporalGraph
@@ -65,12 +66,13 @@ def _init_worker(
 
 def _worker_batch(
     chunk: list[TemporalNodeTuple],
-) -> dict[TemporalNodeTuple, dict]:
+) -> dict[TemporalNodeTuple, ReachedView]:
     assert _WORKER_KERNEL is not None, "worker not initialised"
     results = _WORKER_KERNEL.batch(
         chunk, chunk_size=len(chunk), sweep_mode=_WORKER_SWEEP_MODE
     )
-    # ship plain reached dictionaries back; BFSResult is rebuilt in the parent
+    # ship the reached views back (each pickles as its column plus the
+    # chunk's shared label axes); BFSResult is rebuilt in the parent
     return {root: result.reached for root, result in results.items()}
 
 

@@ -42,8 +42,10 @@ from repro.algorithms.queries import (
     ReachabilityQuery,
     rank_top_k,
 )
+from repro.engine.answers import ReachedView, hit_times, node_times
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
+from repro.graph.compiled import LabelAxes
 
 __all__ = ["GroupOutcome", "decode_warm_block", "execute_group"]
 
@@ -162,33 +164,27 @@ def _chunked_blocks(run_chunk, roots, chunk_size, num_workers):
         yield from part
 
 
-def _decode_frontier(query: Query, dist: np.ndarray, col: int, *, surface, bfs_decode):
+def _decode_frontier(query: Query, dist: np.ndarray, col: int, axes: LabelAxes):
     """Decode one frontier-family query from its ``(T, N, R)`` sweep column.
 
     The single decode used both for fresh coalesced sweeps and for
     warm-start blocks patched across mutations
     (:func:`decode_warm_block`) — sharing it is what makes patched answers
-    bit-identical to fresh ones by construction.  ``bfs_decode`` is the
-    sweeper's ``{(node, time): distance}`` readout (kernel or shard driver).
+    bit-identical to fresh ones by construction.  BFS answers are
+    :class:`~repro.engine.answers.ReachedView` mappings that own their
+    reached slots, so a cached answer never aliases a block patched later.
     """
     if isinstance(query, BFSQuery):
-        return bfs_decode(dist, col)
+        return ReachedView(dist[:, :, col], axes)
     if isinstance(query, ReachabilityQuery):
-        slot = surface.slot(*query.target)
+        slot = axes.slot(*query.target)
         if slot is None or dist[slot[0], slot[1], col] < 0:
             return None
         return int(dist[slot[0], slot[1], col])
-    labels = surface.node_labels
-    times = surface.times
-    reached = dist[:, :, col] >= 0
-    hit = reached.any(axis=0)
-    if isinstance(query, EarliestArrivalQuery):
-        # the running-minimum readout of LabelKernel.earliest_arrivals
-        first = reached.argmax(axis=0)
-        return {labels[vi]: times[first[vi]] for vi in np.nonzero(hit)[0].tolist()}
-    # LatestDepartureQuery: the mirrored running maximum
-    last = surface.num_snapshots - 1 - reached[::-1].argmax(axis=0)
-    return {labels[vi]: times[last[vi]] for vi in np.nonzero(hit)[0].tolist()}
+    # LabelKernel's readouts: the running minimum for earliest arrival,
+    # the mirrored running maximum for latest departure
+    last = not isinstance(query, EarliestArrivalQuery)
+    return node_times(hit_times(dist[:, :, col] >= 0, last=last), axes)
 
 
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
@@ -199,14 +195,7 @@ def decode_warm_block(kernel, query: Query, block: np.ndarray):
     one-column sweep and runs the exact same decode as a fresh coalesced
     sweep, so patched answers cannot drift from recomputed ones.
     """
-    dist = block[:, :, None]
-    return _decode_frontier(
-        query,
-        dist,
-        0,
-        surface=kernel.compiled,
-        bfs_decode=lambda d, c: kernel._reached_dict(d, c),
-    )
+    return _decode_frontier(query, block[:, :, None], 0, kernel.compiled.axes)
 
 
 def _frontier_group(
@@ -223,15 +212,12 @@ def _frontier_group(
     _, direction, reverse_edges = sweep_key
     if driver is not None:
         surface = driver.sharded
-        decode = driver.reached_dict
         sweeper = driver
     else:
         from repro.engine import get_kernel
 
-        kernel = get_kernel(graph)
-        surface = kernel.compiled
-        decode = lambda dist, col: kernel._reached_dict(dist, col)  # noqa: E731
-        sweeper = kernel
+        sweeper = get_kernel(graph)
+        surface = sweeper.compiled
     outcome = GroupOutcome(results=[None] * len(queries), errors=[None] * len(queries))
 
     # roots become sweep columns; inactive roots never enter the sweep —
@@ -279,12 +265,11 @@ def _frontier_group(
     outcome.columns = len(roots)
     outcome.sweeps = 1
 
+    axes = surface.axes
     for i in pending:
         query = queries[i]
         dist, col = blocks[_query_root(query)]
-        outcome.results[i] = _decode_frontier(
-            query, dist, col, surface=surface, bfs_decode=decode
-        )
+        outcome.results[i] = _decode_frontier(query, dist, col, axes)
 
     # warm-start state only exists for the plain-forward monolithic sweep —
     # the only shape patch_distance_block's decrease-only rule applies to
@@ -352,17 +337,11 @@ def _zero_one_group(
         block_iter = run_chunk(roots)
     else:
         block_iter = _chunked_blocks(run_chunk, roots, chunk_size, num_workers)
-    labels = surface.node_labels
-    times = surface.times
-    decoded: dict[TemporalNodeTuple, dict] = {}
+    axes = surface.axes
+    decoded: dict[TemporalNodeTuple, ReachedView] = {}
     for chunk, block in block_iter:
         for col, root in enumerate(chunk):
-            t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
-            hops = block[t_arr, v_arr, col]
-            decoded[root] = {
-                (labels[vi], times[ti]): int(h)
-                for ti, vi, h in zip(t_arr.tolist(), v_arr.tolist(), hops.tolist())
-            }
+            decoded[root] = ReachedView(block[:, :, col], axes)
     outcome.columns = len(roots)
     outcome.sweeps = 1
     for i in pending:

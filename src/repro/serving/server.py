@@ -58,8 +58,10 @@ Overload robustness (this PR) adds three mechanisms on the admission side:
 Freshness contract: a query is answered at *some* mutation version at least
 as new as the one current when it was submitted (the usual serving model);
 :meth:`join` quiesces the server when a caller needs a fixed version.
-Results may be shared between callers (cache hits hand out the same object)
-— treat them as read-only.
+Results may be shared between callers (cache hits hand out the same object),
+so treat them as read-only: BFS and fewest-hops answers are
+:class:`~repro.engine.answers.ReachedView` mappings, the label family's are
+dictionaries, and ``dict(answer)`` is the copy to edit.
 
 Thread-safety: ``submit``/``query``/``mutate`` may be called from any number
 of threads.  All kernel execution happens on the dispatcher thread (plus its
@@ -84,8 +86,9 @@ from repro.exceptions import (
     DeadlineExceededError,
     GraphError,
     ServerOverloadedError,
+    TimestampNotFoundError,
 )
-from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple
+from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple, as_temporal_edge
 from repro.serving.coalesce import decode_warm_block, execute_group
 
 __all__ = ["ADMISSION_POLICIES", "LatencyHistogram", "QueryServer", "ServingStats"]
@@ -326,6 +329,68 @@ class _VersionedLRU:
         for k in stale:
             del self._entries[k]
         return len(stale)
+
+
+def _matching_blocks(carried: list, compiled, *, active_roots: bool = False):
+    """The warm ``(key, warm)`` pairs whose blocks still fit ``compiled``.
+
+    An entry fits while its surface keeps ``compiled``'s label axes (and,
+    with ``active_roots``, while its root stays active).  Returns the kept
+    pairs, their distinct blocks (entries with equal roots share one, so it
+    is patched once) and each block's root slot.
+    """
+    fits: dict[int, bool] = {}  # per surface: entries share few artifacts
+    kept, blocks, pins, seen = [], [], [], set()
+    for key, warm in carried:
+        ok = fits.get(id(warm.surface))
+        if ok is None:
+            ok = fits[id(warm.surface)] = warm.surface.axes.same_as(compiled.axes)
+        if not ok:
+            continue
+        slot = compiled.slot(*warm.root)
+        if slot is None or (active_roots and not compiled.active_mask[slot]):
+            continue
+        if id(warm.block) not in seen:
+            seen.add(id(warm.block))
+            blocks.append(warm.block)
+            pins.append(slot)
+        kept.append((key, warm))
+    return kept, blocks, pins
+
+
+def _validate_mutation(
+    graph: BaseEvolvingGraph, edges: Sequence, removals: Sequence
+) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]]:
+    """Check a whole mutation batch against ``graph`` before any write.
+
+    Every item must be a ``(u, v, t)`` triple of hashable labels, a removal
+    must name an existing snapshot, and a new insertion time must order
+    against the time axis (and the batch's other new times) the way the
+    graph will sort it.  Raises :class:`~repro.exceptions.GraphError` on the
+    first bad item, so a rejected batch leaves the graph untouched.
+    """
+    insertions = [as_temporal_edge(item) for item in edges]
+    deletions = [as_temporal_edge(item) for item in removals]
+    try:
+        set(insertions + deletions)
+    except TypeError as exc:
+        raise GraphError(f"mutation labels must be hashable: {exc}") from exc
+    axis = list(graph.timestamps)
+    known = set(axis)
+    for _, _, t in deletions:
+        if t not in known:
+            raise TimestampNotFoundError(t)
+    for edge in insertions:
+        t = edge[2]
+        if t not in known:
+            try:
+                bisect.insort(axis, t)
+            except TypeError as exc:
+                raise GraphError(
+                    f"time {t!r} of {edge!r} does not order against the time axis"
+                ) from exc
+            known.add(t)
+    return insertions, deletions
 
 
 class QueryServer:
@@ -669,7 +734,10 @@ class QueryServer:
         forward to the new version with the decrease-only re-sweep; anything
         else, and every entry without (still-valid) warm state, is
         invalidated.  The future resolves to the graph's new
-        ``mutation_version``.
+        ``mutation_version``.  The whole batch is validated before the first
+        write: a malformed one fails the future with
+        :class:`~repro.exceptions.GraphError` and leaves the graph, and its
+        version, unchanged.
         """
         if self._sharded_driver is not None:
             raise GraphError(
@@ -677,8 +745,8 @@ class QueryServer:
                 "any on-disk store behind it) is fixed at one mutation "
                 "version; serve mutations from a monolithic server instead"
             )
-        batch = [tuple(e) for e in edges]
-        dropped = [tuple(e) for e in removals]
+        batch = list(edges)
+        dropped = list(removals)
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -780,6 +848,7 @@ class QueryServer:
         warm_carried: list | None = None
         removed: list[TemporalEdgeTuple] = []
         try:
+            batch, removals = _validate_mutation(self._graph, batch, removals)
             before = self._graph.mutation_version
             # phase 1 — removals: capture the pre-removal activeness (the
             # mask every warm block was computed under), mutate, then fold
@@ -853,56 +922,10 @@ class QueryServer:
         are left behind for the pruning pass.  Returns the number of entries
         carried forward.
         """
-        from repro.engine import get_compiled, get_kernel
-
-        compiled = get_compiled(self._graph)
-        kernel = get_kernel(self._graph)
         with self._lock:
             entries = self._cache.warm_entries(before)
-        if not entries:
-            return 0
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        pins: list = []
-        carried = []
-        for key, entry in entries:
-            warm = entry.warm
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None:  # pragma: no cover - axes match implies a slot
-                continue
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-                pins.append(slot)
-            carried.append((key, warm))
-        if not carried:
-            return 0
-        kernel.patch_distance_blocks(
-            blocks, insertions, pinned=pins, sweep_mode=self._sweep_mode
-        )
-        moves = [
-            (key, decode_warm_block(kernel, warm.query, warm.block), warm)
-            for key, warm in carried
-        ]
-        for _key, warm in carried:
-            warm.surface = compiled
-        with self._lock:
-            for key, value, warm in moves:
-                self._cache.rekey(before, version, key, value, warm)
-        return len(moves)
+        carried = [(key, entry.warm) for key, entry in entries]
+        return self._fold_insertions(before, version, carried, insertions)
 
     def _shrink_warm_entries(
         self,
@@ -925,39 +948,17 @@ class QueryServer:
         from repro.engine import get_compiled, get_kernel
 
         compiled = get_compiled(self._graph)  # the mid-batch artifact
-        kernel = get_kernel(self._graph)
         with self._lock:
             entries = self._cache.warm_entries(before)
         if not entries or prev_active is None:
             return []
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        carried = []
-        for key, entry in entries:
-            warm = entry.warm
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None or not compiled.active_mask[slot]:
-                continue  # the removals deactivated this root: prune it
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-            carried.append((key, warm))
+        # an entry whose root the removals deactivated has no sound shrink
+        carried, blocks, _ = _matching_blocks(
+            [(key, entry.warm) for key, entry in entries], compiled, active_roots=True
+        )
         if not carried:
             return []
-        kernel.shrink_distance_blocks(
+        get_kernel(self._graph).shrink_distance_blocks(
             blocks, removed, prev_active, sweep_mode=self._sweep_mode
         )
         for _key, warm in carried:
@@ -978,41 +979,22 @@ class QueryServer:
         along the way (axes changed, journal unavailable) simply stays at
         the old version for the pruning pass.
         """
-        from repro.engine import get_compiled, get_kernel
-
         if not carried:
             return 0
         insertions = self._graph.edge_insertions_since(mid)
         if insertions is None:
             return 0
+        return self._fold_insertions(before, version, carried, insertions)
+
+    def _fold_insertions(
+        self, before: int, version: int, carried: list, insertions: list
+    ) -> int:
+        """Patch ``carried`` warm blocks with ``insertions``, re-decode, rekey."""
+        from repro.engine import get_compiled, get_kernel
+
         compiled = get_compiled(self._graph)  # the final artifact
         kernel = get_kernel(self._graph)
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        pins: list = []
-        kept = []
-        for key, warm in carried:
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None:  # pragma: no cover - axes match implies a slot
-                continue
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-                pins.append(slot)
-            kept.append((key, warm))
+        kept, blocks, pins = _matching_blocks(carried, compiled)
         if not kept:
             return 0
         if insertions:

@@ -32,6 +32,7 @@ from repro.engine import (
     resolve_backend,
     use_sweep_mode,
 )
+from repro.engine.answers import ReachedView
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph import (
     AdjacencyListEvolvingGraph,
@@ -136,6 +137,21 @@ def test_vectorized_batch_equals_serial_per_root(graph):
     assert set(serial) == set(vectorized)
     for root in serial:
         assert vectorized[root].reached == serial[root].reached
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(evolving_graphs())
+def test_process_pool_batch_views_equal_serial_per_root(graph):
+    """Views pickled back from process-pool workers equal the oracle."""
+    roots = graph.active_temporal_nodes()
+    serial = batch_bfs(graph, roots, backend="serial")
+    pooled = batch_bfs(graph, roots, backend="process", num_workers=2, chunk_size=3)
+    assert set(serial) == set(pooled)
+    for root in serial:
+        assert isinstance(pooled[root].reached, ReachedView)
+        assert pooled[root].reached == serial[root].reached
+        assert serial[root].reached == pooled[root].reached
 
 
 @ENGINE_SETTINGS

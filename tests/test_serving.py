@@ -18,6 +18,7 @@ Four contracts, per ISSUE 6:
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -401,7 +402,7 @@ def test_concurrent_readers_and_writer_stress():
             future.result(timeout=30)
         for result in out:
             assert not isinstance(result, Exception), result
-            assert all(isinstance(r, dict) for r in result)
+            assert all(isinstance(r, Mapping) for r in result)
         server.join()
         # quiesced: every answer now equals the direct call on the final graph
         for root in roots:
@@ -626,6 +627,42 @@ def test_warm_start_out_of_universe_insertion_prunes():
         assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
             graph, (0, 0), backend="vectorized"
         ).reached
+
+
+def test_malformed_mutation_is_rejected_before_any_write():
+    graph = AdjacencyListEvolvingGraph(
+        [(0, 1, 0), (1, 2, 0), (2, 3, 1)], directed=True
+    )
+    edges = sorted(graph.temporal_edges())
+    with QueryServer(graph, window_s=0.002) as server:
+        version = graph.mutation_version
+        # a None time cannot be ordered against the integer time axis; the
+        # valid insertion and removal in the same batch must not land either
+        with pytest.raises(GraphError):
+            server.mutate(
+                [(5, 6, 0), (7, 8, None)], removals=[(0, 1, 0)]
+            ).result(timeout=30)
+        assert graph.mutation_version == version
+        assert sorted(graph.temporal_edges()) == edges
+        for edges_in, removals in [
+            ([(5, 6)], []),
+            ([(5, 6, 0, 1)], []),
+            ([([5], 6, 0)], []),
+            ([(5, 6, "x")], []),
+            ([(5, 6, 0)], [(0, 1, 7)]),  # no snapshot at time 7
+            ([(5, 6, 0)], [None]),
+        ]:
+            with pytest.raises(GraphError):
+                server.mutate(edges_in, removals=removals).result(timeout=30)
+        assert graph.mutation_version == version
+        assert sorted(graph.temporal_edges()) == edges
+        # the writer is not wedged: the well-formed part applies on its own
+        new_version = server.mutate([(5, 6, 0)], removals=[(0, 1, 0)]).result(
+            timeout=30
+        )
+        assert new_version > version
+        assert (5, 6, 0) in set(graph.temporal_edges())
+        assert (0, 1, 0) not in set(graph.temporal_edges())
 
 
 @settings(

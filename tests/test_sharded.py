@@ -48,6 +48,7 @@ from repro.algorithms.temporal_paths import (
     fewest_spatial_hops_from,
     latest_departure_times,
 )
+from repro.core.bfs import evolving_bfs, multi_source_bfs
 from repro.engine import (
     FrontierKernel,
     LabelKernel,
@@ -57,6 +58,7 @@ from repro.engine import (
     get_sharded_driver,
     invalidate_kernel,
 )
+from repro.engine.answers import ReachedView
 from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
@@ -160,6 +162,40 @@ def test_sharded_frontier_family_bit_identical(graph_root, backend):
         # bit-exact even for the float family: partial rows are folded in
         # canonical global snapshot order, replaying the monolithic sum
         assert driver.harmonic_closeness_sums(roots) == expected_harmonic
+
+
+@settings(
+    max_examples=10 if ENV_BACKEND == "process" else 30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(graphs_with_roots())
+def test_sharded_views_equal_python_oracle(graph_root):
+    """Sharded ``reached`` views on the serial backend (or the one the CI
+    stress job exports) equal the Python oracle's dictionaries, in both
+    directions of ``==`` and in iteration order."""
+    graph, root = graph_root
+    compiled = get_compiled(graph)
+    roots = graph.active_temporal_nodes()[:6]
+    sharded = ShardedTemporalGraph.from_compiled(
+        compiled, min(ENV_SHARDS, compiled.num_snapshots)
+    )
+    with ShardedSweepDriver(
+        sharded, backend=ENV_BACKEND, num_workers=2, chunk_size=4
+    ) as driver:
+        views = {r: res.reached for r, res in driver.batch(roots).items()}
+        single = driver.bfs(root).reached
+        multi = driver.multi_source(roots).reached
+    monolithic = get_kernel(graph).batch(roots)
+    assert set(views) == set(roots)
+    for r, view in views.items():
+        assert isinstance(view, ReachedView)
+        oracle = evolving_bfs(graph, r, backend="python").reached
+        assert view == oracle and oracle == view
+        # the same time-major order as the monolithic kernel's views
+        assert list(view.items()) == list(monolithic[r].reached.items())
+    assert single == evolving_bfs(graph, root, backend="python").reached
+    assert multi == multi_source_bfs(graph, roots, backend="python").reached
 
 
 @SHARD_SETTINGS
