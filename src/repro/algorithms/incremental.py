@@ -60,7 +60,7 @@ from repro.core.bfs import BFSResult, evolving_bfs
 from repro.engine.answers import ReachedView, hit_times, node_times
 from repro.exceptions import GraphError
 from repro.graph.adjacency_list import AdjacencyListEvolvingGraph
-from repro.graph.base import TemporalEdgeTuple, TemporalNodeTuple, as_temporal_edge
+from repro.graph.base import TemporalEdgeTuple, TemporalNodeTuple, validate_mutation
 from repro.graph.compiled import CompiledTemporalGraph
 
 __all__ = ["IncrementalBFS", "IncrementalEarliestArrival"]
@@ -215,15 +215,15 @@ class IncrementalBFS:
         recompile and *one* masked re-sweep, which is how streaming callers
         (:func:`repro.generators.stream.apply_stream`) amortize update costs.
         """
-        if self._backend == "python":
-            added = 0
-            for u, v, t in edges:
-                added += self.add_edge(u, v, t)
-            return added
         # validate the whole batch before the first insertion: a malformed
         # item must not leave edges in the graph that the distance block
         # never folded in
-        items = [as_temporal_edge(item) for item in edges]
+        items, _ = validate_mutation(self._graph, edges, ())
+        if self._backend == "python":
+            added = 0
+            for u, v, t in items:
+                added += self.add_edge(u, v, t)
+            return added
         new_edges: list[TemporalEdgeTuple] = []
         try:
             for edge in items:
@@ -270,9 +270,8 @@ class IncrementalBFS:
         fresh search after every batch, for any mix.  The python oracle
         backend recomputes from scratch whenever a batch removes edges.
         """
-        ins = [as_temporal_edge(item) for item in insertions]
-        rem = [as_temporal_edge(item) for item in removals]
         graph = self._graph
+        ins, rem = validate_mutation(graph, insertions, removals)
         if self._backend == "python":
             removed = 0
             for u, v, t in rem:

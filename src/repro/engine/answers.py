@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, MutableMapping
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.compiled import LabelAxes
 
-__all__ = ["ReachedView", "hit_times", "node_times", "node_values"]
+__all__ = ["ReachedView", "hit_times", "node_times", "node_values", "time_answers"]
 
 _ABSENT = object()
 
@@ -54,6 +54,19 @@ def node_times(index: np.ndarray, axes: LabelAxes) -> dict[Node, Time]:
     hits = np.nonzero(index >= 0)[0]
     return {
         labels[vi]: times[ti] for vi, ti in zip(hits.tolist(), index[hits].tolist())
+    }
+
+
+def time_answers(
+    hit_chunks: Iterable[tuple[list, np.ndarray]], axes: LabelAxes
+) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+    """``{root: {node: time}}`` from ``(chunk, hit)`` pairs, each ``hit`` an
+    ``(N, R)`` snapshot-index block: the earliest-arrival and
+    latest-departure readout of the kernel and the shard driver alike."""
+    return {
+        root: node_times(hit[:, col], axes)
+        for chunk, hit in hit_chunks
+        for col, root in enumerate(chunk)
     }
 
 

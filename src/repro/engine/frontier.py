@@ -74,19 +74,22 @@ graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.engine.answers import ReachedView
+from repro.engine.answers import ReachedView, hit_times
 from repro.exceptions import ConvergenceError, GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
-__all__ = ["FrontierKernel"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sharded_sweep import BoundaryBlock
+
+__all__ = ["FrontierKernel", "reach_closure"]
 
 _DIRECTIONS = ("forward", "backward")
 
@@ -123,6 +126,80 @@ def _harmonic_accumulate(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         sums = sums + row
     return sums
+
+
+def reach_closure(
+    kernel: "FrontierKernel",
+    seeds_per_column: Sequence[Sequence[tuple[int, int]]],
+    carry: np.ndarray,
+    *,
+    forward: bool,
+    reverse_edges: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Identity reach in one pass over time; ``((N, R) hit index, carry out)``.
+
+    The causal blocks all point forward in time, so the block matrix is
+    block triangular (Lemma 1) and reach-only questions are one block
+    forward substitution.  Snapshots are visited once, in time order
+    (reversed for backward searches).  At snapshot ``t`` the start set is
+    the packed ``(R, W)`` ``carry`` of identities reached before ``t``,
+    masked by ``active[t]``, plus the seeds at ``t``; it is closed under
+    ``A[t]`` with :func:`~repro.engine.bitops.advance_blocked` until no new
+    bit appears.  Identities new to the carry record ``t`` as their hit (the
+    first snapshot in sweep order; ``-1``: never reached) and join the
+    carry, which is returned so a later time shard can continue from it.
+
+    No more advances than the level sweep: closing snapshot ``t`` takes
+    ``k + 1`` advances when its deepest new bit ``v`` lies ``k`` hops from
+    the start set.  In the level sweep, ``(v, t)``'s spatial-parent chain
+    inside ``t`` starts in that start set, so it has at least ``k`` hops,
+    and each of its slots sits on a different level; each of those ``k + 1``
+    levels advances snapshot ``t``.  Charges the counter as the fused loop.
+    """
+    compiled = kernel.compiled
+    t_count, n = compiled.active_mask.shape
+    r, w = carry.shape
+    use_forward_ops = forward != reverse_edges
+    mats = (
+        compiled.forward_operators if use_forward_ops else compiled.backward_operators
+    )
+    degrees = kernel._operator_degrees(use_forward_ops)
+    active_words = kernel._packed_active()
+    counter = kernel.counter
+    seeds = np.zeros((t_count, r, w), dtype=np.uint64)
+    for col, column in enumerate(seeds_per_column):
+        for ti, vi in column:
+            seeds[ti, col, vi >> 6] |= np.uint64(1 << (vi & 63))
+    carry = carry.copy()
+    hit = np.full((r, n), -1, dtype=np.int32)
+    for ti in range(t_count) if forward else range(t_count - 1, -1, -1):
+        reached = (carry & active_words[ti]) | seeds[ti]
+        if counter is not None:
+            counter.word_ops += 2 * reached.size
+        if not reached.any():
+            continue
+        frontier = reached
+        while mats[ti].nnz and (active_words[ti] & ~reached).any():
+            new = bitops.advance_blocked(
+                mats[ti],
+                frontier,
+                n,
+                out_degrees=degrees[ti],
+                active_row=active_words[ti],
+                visited_words=reached,
+                counter=counter,
+            )
+            new &= active_words[ti] & ~reached
+            if counter is not None:
+                counter.word_ops += 3 * new.size
+            if not new.any():
+                break
+            reached |= new
+            frontier = new
+        cols, slots = bitops.packed_nonzero(reached & ~carry)
+        hit[cols, slots] = ti
+        carry |= reached
+    return hit.T, carry
 
 
 class FrontierKernel:
@@ -870,21 +947,20 @@ class FrontierKernel:
 
         Equals ``len({v for (v, t) in reached} - {root_node})`` of the
         per-root Python BFS, computed without ever materializing the reached
-        dictionaries: the ``(T, N, R)`` distance block is collapsed over the
-        time axis and the per-column identity counts are read off in one
-        reduction.  Powers :func:`repro.algorithms.centrality.temporal_out_reach`,
-        ``temporal_in_reach`` and ``top_influencers``.
+        dictionaries or a distance block: the count of identities in the
+        final carry of :func:`reach_closure`, less the root's own.  Powers
+        :func:`repro.algorithms.centrality.temporal_out_reach`,
+        ``temporal_in_reach``, ``top_influencers`` and served top-k groups.
         """
         out: dict[TemporalNodeTuple, int] = {}
-        for chunk, dist in self._chunked_distances(
+        for chunk, hit in self._chunked_hits(
             roots,
             direction=direction,
             reverse_edges=reverse_edges,
             chunk_size=chunk_size,
             sweep_mode=sweep_mode,
         ):
-            identity_reached = (dist >= 0).any(axis=0)  # (N, R)
-            counts = identity_reached.sum(axis=0)
+            counts = (hit >= 0).sum(axis=0)
             for col, root in enumerate(chunk):
                 # the root's own identity is always reached (distance 0)
                 out[root] = int(counts[col]) - 1
@@ -1011,10 +1087,9 @@ class FrontierKernel:
         Yields ``(chunk, dist)`` pairs where ``dist`` is the raw ``(T, N, R)``
         int32 distance block whose column ``r`` belongs to ``chunk[r]``
         (``-1`` = unreached).  This is the batched array-level interface the
-        label kernel and the engine-backed algorithms layer (influence-leaf
-        detection, community unions) consume when they want whole blocks
-        rather than decoded per-root dictionaries; :meth:`batch` is the
-        decoded convenience form.
+        engine-backed algorithms layer (influence-leaf detection, community
+        unions) consumes when it wants whole blocks rather than decoded
+        per-root answers; :meth:`batch` is the decoded convenience form.
         """
         return self._chunked_distances(
             roots,
@@ -1049,6 +1124,47 @@ class FrontierKernel:
             )
             yield chunk, dist
 
+    def _chunked_hits(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+        reverse_edges: bool = False,
+        chunk_size: int = 128,
+        sweep_mode: str | None = None,
+    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
+        """Yield ``(chunk, hit)``: each identity's first (backward: last)
+        reached snapshot index per root column, ``(N, R)``, ``-1`` unreached.
+
+        Fused mode runs :func:`reach_closure`; classic reads the same index
+        off the level sweep's distance block, as the oracle.
+        """
+        if direction not in _DIRECTIONS:
+            raise GraphError(f"unsupported direction {direction!r}")
+        forward = direction == "forward"
+        if bitops.resolve_sweep_mode(sweep_mode) == "classic":
+            for chunk, dist in self._chunked_distances(
+                roots,
+                direction=direction,
+                reverse_edges=reverse_edges,
+                chunk_size=chunk_size,
+                sweep_mode="classic",
+            ):
+                yield chunk, hit_times(dist >= 0, last=not forward)
+            return
+        root_list = [(r[0], r[1]) for r in roots]
+        w = bitops.words_for(self.num_nodes)
+        for start in range(0, len(root_list), chunk_size):
+            chunk = root_list[start : start + chunk_size]
+            hit, _ = reach_closure(
+                self,
+                [[self._seed_index(r)] for r in chunk],
+                np.zeros((len(chunk), w), dtype=np.uint64),
+                forward=forward,
+                reverse_edges=reverse_edges,
+            )
+            yield chunk, hit
+
     def _packed_active(self) -> np.ndarray:
         """The packed ``(T, W)`` activeness words, built once per kernel."""
         if self._active_words is None:
@@ -1080,6 +1196,7 @@ class FrontierKernel:
         direction: str,
         *,
         reverse_edges: bool = False,
+        boundary: "BoundaryBlock | None" = None,
     ) -> np.ndarray:
         """The bit-packed twin of :meth:`_run`: identical distances, one pass.
 
@@ -1088,6 +1205,11 @@ class FrontierKernel:
         fusing the direction-optimized spatial advance with the causal carry
         and every mask (:func:`repro.engine.bitops.fused_update`), and
         unpacks only the newly discovered coordinates to write distances.
+        A time shard passes the incoming
+        :class:`~repro.engine.sharded_sweep.BoundaryBlock`: the nodes earlier
+        shards reached at minimal distance ``m`` seed the causal carry of the
+        round assigning ``m + 1``, where the monolithic carry would deliver
+        them, and rounds go on while a later boundary level can revive it.
         """
         forward = direction == "forward"
         active_mask = self.compiled.active_mask
@@ -1118,12 +1240,14 @@ class FrontierKernel:
         # full-block accumulate-shift-mask sequence
         order = list(range(t_count)) if forward else list(range(t_count - 1, -1, -1))
         scratch = np.zeros_like(frontier)
+        max_ext = -1 if boundary is None else boundary.max_level
         level = 0
         alive = bool(frontier.any())
-        while alive:
+        while alive or level <= max_ext:
             level += 1
             alive = False
-            carry = np.zeros((r, w), dtype=np.uint64)
+            ext = None if boundary is None else boundary.words(level - 1)
+            carry = np.zeros((r, w), dtype=np.uint64) if ext is None else ext.copy()
             for ti in order:
                 f_t = frontier[ti]
                 new_t = scratch[ti]

@@ -5,10 +5,11 @@
 reductions, but not for the comparison baselines the codebase cites, which
 ask for numeric labels per temporal node:
 
-* **earliest arrival** (Tang-style reachability) is a running *minimum* of
-  reached time stamps along the time axis;
-* **latest departure** is the mirrored running *maximum*, executed on the
-  lazily transposed backward-operator stacks;
+* **earliest arrival** (Tang-style reachability) is each node identity's
+  first reached snapshot, taken in one pass over time: the block forward
+  substitution of :func:`~repro.engine.frontier.reach_closure`;
+* **latest departure** is the mirrored last hit, one pass against time on
+  the lazily transposed backward-operator stacks;
 * **fewest spatial hops** (the Grindrod–Higham dynamic-walk hop convention)
   is a *(min, +)* sweep in which static edges cost 1 and causal edges cost
   0;
@@ -17,13 +18,14 @@ ask for numeric labels per temporal node:
   spreading, with *no* activeness requirement (Tang's convention, not the
   paper's).
 
-:class:`LabelKernel` executes all four as batched ``(T, N, R)`` sweeps over
-the same shared :class:`~repro.graph.compiled.CompiledTemporalGraph` the
-frontier kernel runs on — ``R`` independent sources per CSR × dense-block
-product — using the same cumulative-masked causal step.  The 0/1-cost
-semiring sweep (:meth:`zero_one_labels`) is pluggable: ``(spatial_cost=1,
-causal_cost=0)`` yields fewest spatial hops, ``(1, 1)`` recovers the paper's
-own Definition-6 distance (a cross-check the test suite exercises), and
+:class:`LabelKernel` executes all four over the same shared
+:class:`~repro.graph.compiled.CompiledTemporalGraph` the frontier kernel
+runs on, ``R`` independent sources per CSR × dense-block product: the two
+time readouts in one pass over time each, the other two as batched sweeps
+with the same cumulative-masked causal step.  The 0/1-cost semiring sweep
+(:meth:`zero_one_labels`) is pluggable: ``(spatial_cost=1, causal_cost=0)``
+yields fewest spatial hops, ``(1, 1)`` recovers the paper's own
+Definition-6 distance (a cross-check the test suite exercises), and
 ``(0, 1)`` charges waiting instead of moving.  Zero-cost edge families are
 saturated to a fixpoint between unit-cost expansions, which is exactly
 Dijkstra with 0/1 weights expressed as blocked sparse products.
@@ -36,16 +38,19 @@ algorithms layer (:mod:`repro.algorithms.temporal_paths`,
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.engine import bitops
-from repro.engine.answers import ReachedView, hit_times, node_times, node_values
+from repro.engine.answers import ReachedView, node_values, time_answers
 from repro.engine.frontier import FrontierKernel
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sharded_sweep import BoundaryBlock
 
 __all__ = ["LabelKernel"]
 
@@ -89,8 +94,6 @@ class LabelKernel:
             raise GraphError("frontier kernel compiled over a different artifact")
         self.compiled = compiled
         self.frontier = frontier
-        self._labels: list[Node] = compiled.node_labels
-        self._times: tuple[Time, ...] = compiled.times
 
     # ------------------------------------------------------------------ #
     # min/max time readouts (earliest arrival, latest departure)          #
@@ -105,11 +108,17 @@ class LabelKernel:
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per root: the earliest reachable time stamp of *every* node identity.
 
-        One forward boolean sweep per chunk of roots, then a running-minimum
-        readout along the time axis: node ``v`` maps to the smallest ``t``
-        with ``(v, t)`` reached.  Roots themselves map to their own time.
+        One forward pass over time per chunk of roots
+        (:func:`~repro.engine.frontier.reach_closure`): node ``v`` maps to
+        the first snapshot whose closure reaches it.  Roots themselves map
+        to their own time.
         """
-        return self._time_readout(roots, "forward", chunk_size, sweep_mode)
+        return time_answers(
+            self.frontier._chunked_hits(
+                roots, chunk_size=chunk_size, sweep_mode=sweep_mode
+            ),
+            self.compiled.axes,
+        )
 
     def latest_departures(
         self,
@@ -120,24 +129,18 @@ class LabelKernel:
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per target: the latest time stamp from which every node can still reach it.
 
-        The mirrored readout of :meth:`earliest_arrivals`: one *backward*
-        boolean sweep (executed on the lazily built transposed stacks), then
-        a running maximum along the time axis.
+        The mirror of :meth:`earliest_arrivals`: one pass against time on
+        the lazily built transposed stacks, keeping each node's last hit.
         """
-        return self._time_readout(targets, "backward", chunk_size, sweep_mode)
-
-    def _time_readout(
-        self, roots, direction: str, chunk_size: int, sweep_mode: str | None
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        axes = self.compiled.axes
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        for chunk, dist in self.frontier._chunked_distances(
-            roots, direction=direction, chunk_size=chunk_size, sweep_mode=sweep_mode
-        ):
-            index = hit_times(dist >= 0, last=direction == "backward")  # (N, R)
-            for col, root in enumerate(chunk):
-                out[root] = node_times(index[:, col], axes)
-        return out
+        return time_answers(
+            self.frontier._chunked_hits(
+                targets,
+                direction="backward",
+                chunk_size=chunk_size,
+                sweep_mode=sweep_mode,
+            ),
+            self.compiled.axes,
+        )
 
     # ------------------------------------------------------------------ #
     # the 0/1-cost semiring sweep (fewest spatial hops and friends)       #
@@ -172,12 +175,12 @@ class LabelKernel:
         root_list = [(r[0], r[1]) for r in roots]
         for start in range(0, len(root_list), chunk_size):
             chunk = root_list[start : start + chunk_size]
-            seeds = [self.frontier._seed_index(r) for r in chunk]
+            seeds = [[self.frontier._seed_index(r)] for r in chunk]
             yield chunk, run(seeds, spatial_cost, causal_cost)
 
     def _zero_one_run(
         self,
-        seeds: Sequence[tuple[int, int]],
+        seeds: Sequence[Sequence[tuple[int, int]]],
         spatial_cost: int,
         causal_cost: int,
     ) -> np.ndarray:
@@ -187,9 +190,10 @@ class LabelKernel:
         mats = self.compiled.forward_operators
         labels = np.full((t_count, n, r), -1, dtype=np.int32)
         frontier = np.zeros((t_count, n, r), dtype=bool)
-        for col, (ti, vi) in enumerate(seeds):
-            frontier[ti, vi, col] = True
-            labels[ti, vi, col] = 0
+        for col, column in enumerate(seeds):
+            for ti, vi in column:
+                frontier[ti, vi, col] = True
+                labels[ti, vi, col] = 0
         reached = frontier.copy()
 
         def spatial_step(block: np.ndarray) -> np.ndarray:
@@ -237,9 +241,10 @@ class LabelKernel:
 
     def _zero_one_run_fused(
         self,
-        seeds: Sequence[tuple[int, int]],
+        seeds: Sequence[Sequence[tuple[int, int]]],
         spatial_cost: int,
         causal_cost: int,
+        boundary: "BoundaryBlock | None" = None,
     ) -> np.ndarray:
         """The packed twin of :meth:`_zero_one_run` — bit-identical labels.
 
@@ -249,6 +254,11 @@ class LabelKernel:
         :func:`~repro.engine.bitops.causal_or_accumulate`, so each level's
         saturation/expansion makes one pass over packed words instead of
         byte-per-cell blocks.
+        A time shard passes the incoming
+        :class:`~repro.engine.sharded_sweep.BoundaryBlock`: external nodes at
+        minimal label ``m`` join the cost-``m`` saturation when causal edges
+        are free, or the cost-``m`` unit expansion when they cost one —
+        where the monolithic causal step would deliver them.
         """
         t_count, n = self.compiled.active_mask.shape
         r = len(seeds)
@@ -258,9 +268,10 @@ class LabelKernel:
         active_words = self.frontier._packed_active()
         labels = np.full((t_count, n, r), -1, dtype=np.int32)
         frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-        for col, (ti, vi) in enumerate(seeds):
-            frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            labels[ti, vi, col] = 0
+        for col, column in enumerate(seeds):
+            for ti, vi in column:
+                frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
+                labels[ti, vi, col] = 0
         reached = frontier.copy()
 
         def spatial_step(block: np.ndarray) -> np.ndarray:
@@ -277,13 +288,22 @@ class LabelKernel:
                     )
             return out
 
+        max_ext = -1 if boundary is None else boundary.max_level
         cost = 0
-        while frontier.any():
+        while frontier.any() or cost <= max_ext:
+            ext = None if boundary is None else boundary.words(cost)
+            # an external node is strictly earlier than every snapshot here,
+            # so its causal reach is the node's bit at all of them, masked
+            ext_block = (
+                None if ext is None else ext[None, :, :] & active_words[:, None, :]
+            )
             # saturate zero-cost edge families at the current cost level
             while True:
                 grow = np.zeros_like(frontier)
                 if causal_cost == 0:
                     grow |= bitops.causal_or_accumulate(frontier, active_words)
+                    if ext_block is not None:
+                        grow |= ext_block
                 if spatial_cost == 0:
                     grow |= spatial_step(frontier)
                 grow &= active_words[:, None, :]
@@ -300,6 +320,8 @@ class LabelKernel:
                 step |= spatial_step(frontier)
             if causal_cost == 1:
                 step |= bitops.causal_or_accumulate(frontier, active_words)
+                if ext_block is not None:
+                    step |= ext_block
             frontier = step & active_words[:, None, :] & ~reached
             cost += 1
             mask = bitops.unpack_bits(frontier, n)

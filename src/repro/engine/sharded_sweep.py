@@ -21,7 +21,11 @@ and :class:`~repro.engine.labels.LabelKernel` shardable *bit-identically*:
 * the shard hands downstream a :class:`BoundaryBlock` — the element-wise
   minimum of its own per-node levels with the incoming block — and the
   Tang sweep, whose state is time-free, hands its raw ``(R, W)`` informed
-  words.
+  words;
+* reach-only answers (identity counts, earliest arrival, latest departure)
+  need no levels: the ``("reach", forward, reverse_edges)`` spec runs
+  :func:`~repro.engine.frontier.reach_closure` per shard, and its boundary
+  is the ``(R, W)`` carry of node identities the earlier shards reached.
 
 :class:`ShardedSweepDriver` schedules those shard sweeps three ways:
 
@@ -58,12 +62,14 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.engine.answers import ReachedView, hit_times, node_times, node_values
+from repro.engine.answers import ReachedView, node_values, time_answers
 from repro.engine.frontier import (
     FrontierKernel,
     _harmonic_accumulate,
     _harmonic_rows,
+    reach_closure,
 )
+from repro.engine.labels import LabelKernel
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.sharded import ShardedTemporalGraph
@@ -176,84 +182,15 @@ def _bfs_shard_sweep(
 ) -> tuple[np.ndarray, BoundaryBlock]:
     """One shard's slice of a fused BFS sweep; ``((T_i, N, R) dist, boundary out)``.
 
-    This is ``FrontierKernel._run_fused`` verbatim over the shard's own
-    snapshots, plus the boundary injection: at the round assigning distance
-    ``m + 1``, the external nodes at minimal earlier-shard distance ``m``
-    seed the causal carry — exactly the words the monolithic carry would
-    hold when entering this shard's snapshot range at that level.
+    ``FrontierKernel._run_fused`` over the shard's own snapshots with the
+    incoming boundary injected into its causal carry.
     """
-    compiled = kernel.compiled
-    active_mask = compiled.active_mask
-    t_count, n = active_mask.shape
-    r = boundary.num_columns
-    w = bitops.words_for(n)
-    dist = np.full((t_count, r, n), -1, dtype=np.int32)
-    frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-    for col, seeds in enumerate(seeds_per_column):
-        for ti, vi in seeds:
-            frontier[ti, col, vi >> 6] |= np.uint64(1 << (vi & 63))
-            dist[ti, col, vi] = 0
-    visited = frontier.copy()
-    use_forward_ops = forward != reverse_edges
-    mats = (
-        compiled.forward_operators if use_forward_ops else compiled.backward_operators
+    direction = "forward" if forward else "backward"
+    dist = kernel._run_fused(
+        seeds_per_column, direction, reverse_edges=reverse_edges, boundary=boundary
     )
-    degrees = kernel._operator_degrees(use_forward_ops)
-    active_words = kernel._packed_active()
-    counter = kernel.counter
-    order = list(range(t_count)) if forward else list(range(t_count - 1, -1, -1))
-    scratch = np.zeros_like(frontier)
-    max_ext = boundary.max_level
-    level = 0
-    alive = bool(frontier.any())
-    # rounds keep running past frontier death while later boundary levels can
-    # still revive the shard (an empty round is a handful of word probes)
-    while alive or level <= max_ext:
-        level += 1
-        alive = False
-        ext = boundary.words(level - 1)
-        carry = (
-            ext.copy() if ext is not None else np.zeros((r, w), dtype=np.uint64)
-        )
-        for ti in order:
-            f_t = frontier[ti]
-            new_t = scratch[ti]
-            f_any = bool(f_t.any())
-            if not f_any and not carry.any():
-                new_t[:] = 0
-                continue
-            remaining = active_words[ti] & ~visited[ti]
-            if counter is not None:
-                counter.word_ops += 2 * new_t.size
-            if not remaining.any():
-                new_t[:] = 0
-                if f_any:
-                    carry |= f_t
-                continue
-            if f_any and mats[ti].nnz:
-                spatial = bitops.advance_blocked(
-                    mats[ti],
-                    f_t,
-                    n,
-                    out_degrees=degrees[ti],
-                    active_row=active_words[ti],
-                    visited_words=visited[ti],
-                    counter=counter,
-                )
-            else:
-                spatial = np.zeros((r, w), dtype=np.uint64)
-            bitops.fused_update(
-                spatial, carry, active_words[ti], visited[ti], f_t, new_t
-            )
-            if counter is not None:
-                counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * new_t.size
-            if new_t.any():
-                alive = True
-                mask = bitops.unpack_bits(new_t, n)
-                dist[ti] += np.multiply(mask, level + 1, dtype=np.int32)
-        frontier, scratch = scratch, frontier
-    shard_min = np.where(dist >= 0, dist, _FAR).min(axis=0)  # (R, N)
-    return dist.transpose(0, 2, 1), boundary.merged_with(shard_min)
+    shard_min = np.where(dist >= 0, dist, _FAR).min(axis=0).T  # (R, N)
+    return dist, boundary.merged_with(shard_min)
 
 
 def _zero_one_shard_sweep(
@@ -265,80 +202,12 @@ def _zero_one_shard_sweep(
 ) -> tuple[np.ndarray, BoundaryBlock]:
     """One shard's slice of the 0/1-semiring sweep; ``((T_i, N, R), boundary out)``.
 
-    ``LabelKernel._zero_one_run_fused`` over the shard's snapshots, with the
-    boundary injected where the monolithic causal step would deliver it:
-    external nodes at minimal label ``m`` join the cost-``m`` zero-cost
-    saturation when causal edges are free, or the cost-``m`` unit expansion
-    (producing ``m + 1``) when causal edges cost one.
+    ``LabelKernel._zero_one_run_fused`` over the shard's snapshots with the
+    incoming boundary injected where the monolithic causal step delivers it.
     """
-    compiled = kernel.compiled
-    t_count, n = compiled.active_mask.shape
-    r = boundary.num_columns
-    w = bitops.words_for(n)
-    mats = compiled.forward_operators
-    degrees = kernel._operator_degrees(True)
-    active_words = kernel._packed_active()
-    labels = np.full((t_count, n, r), -1, dtype=np.int32)
-    frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-    for col, seeds in enumerate(seeds_per_column):
-        for ti, vi in seeds:
-            frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            labels[ti, vi, col] = 0
-    reached = frontier.copy()
-
-    def spatial_step(block: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(block)
-        for ti in range(t_count):
-            if mats[ti].nnz and block[ti].any():
-                out[ti] = bitops.advance_blocked(
-                    mats[ti],
-                    block[ti],
-                    n,
-                    out_degrees=degrees[ti],
-                    active_row=active_words[ti],
-                    visited_words=reached[ti],
-                )
-        return out
-
-    max_ext = boundary.max_level
-    cost = 0
-    while frontier.any() or cost <= max_ext:
-        ext = boundary.words(cost)
-        # an external node is strictly earlier than every snapshot here, so
-        # its causal reach is the node's bit at all of them, active-masked
-        ext_block = (
-            ext[None, :, :] & active_words[:, None, :] if ext is not None else None
-        )
-        # saturate zero-cost edge families at the current cost level
-        while True:
-            grow = np.zeros_like(frontier)
-            if causal_cost == 0:
-                grow |= bitops.causal_or_accumulate(frontier, active_words)
-                if ext_block is not None:
-                    grow |= ext_block
-            if spatial_cost == 0:
-                grow |= spatial_step(frontier)
-            grow &= active_words[:, None, :]
-            grow &= ~reached
-            if not grow.any():
-                break
-            mask = bitops.unpack_bits(grow, n)
-            labels[mask.transpose(0, 2, 1)] = cost
-            reached |= grow
-            frontier |= grow
-        # one unit-cost expansion
-        step = np.zeros_like(frontier)
-        if spatial_cost == 1:
-            step |= spatial_step(frontier)
-        if causal_cost == 1:
-            step |= bitops.causal_or_accumulate(frontier, active_words)
-            if ext_block is not None:
-                step |= ext_block
-        frontier = step & active_words[:, None, :] & ~reached
-        cost += 1
-        mask = bitops.unpack_bits(frontier, n)
-        labels[mask.transpose(0, 2, 1)] = cost
-        reached |= frontier
+    labels = LabelKernel(kernel)._zero_one_run_fused(
+        seeds_per_column, spatial_cost, causal_cost, boundary
+    )
     shard_min = np.where(labels >= 0, labels, _FAR).min(axis=0).T  # (R, N)
     return labels, boundary.merged_with(shard_min)
 
@@ -408,12 +277,23 @@ def _run_shard_task(
     """Execute one (shard, chunk) sweep and reduce its block to a partial.
 
     ``spec`` is a picklable family tuple — ``("bfs", forward, reverse_edges)``,
-    ``("zero_one", spatial_cost, causal_cost)`` or ``("tang", horizon,
-    start_index)`` — and ``kind`` picks the partial shipped back to the
-    driver, so the process backend returns reductions (reach masks, harmonic
-    sums, hit indices) instead of full blocks whenever the readout allows.
+    ``("reach", forward, reverse_edges)``, ``("zero_one", spatial_cost,
+    causal_cost)`` or ``("tang", horizon, start_index)`` — and ``kind`` picks
+    the partial shipped back to the driver, so the process backend returns
+    reductions instead of full blocks whenever the readout allows.  The
+    ``"reach"`` family runs :func:`~repro.engine.frontier.reach_closure`:
+    its boundary is the ``(R, W)`` identity carry and its partials are the
+    ``(N, R)`` global hit indices (``"first"``/``"last"``) or hit masks
+    (``"reach"``).
     """
     family = spec[0]
+    if family == "reach":
+        hit, carry = reach_closure(
+            kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
+        )
+        if kind == "reach":
+            return hit >= 0, carry
+        return np.where(hit >= 0, global_start + hit, -1).astype(np.int32), carry
     if family == "tang":
         return _tang_shard_sweep(
             kernel,
@@ -430,23 +310,18 @@ def _run_shard_task(
         block, boundary_out = _zero_one_shard_sweep(
             kernel, seeds, boundary, spec[1], spec[2]
         )
-    return _reduce_block(kind, block, global_start), boundary_out
+    return _reduce_block(kind, block), boundary_out
 
 
-def _reduce_block(kind: str, block: np.ndarray, global_start: int) -> object:
+def _reduce_block(kind: str, block: np.ndarray) -> object:
     """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
     if kind == "block":
         return block
-    if kind == "reach":
-        return (block >= 0).any(axis=0)  # (N, R) identity-hit mask
     if kind == "harmonic":
         # per-snapshot (T_i, R) rows via the monolithic kernel's canonical
         # reduction; the driver folds them in global snapshot order, so the
         # float sums are bit-identical to the monolithic readout
         return _harmonic_rows(block)
-    if kind in ("first", "last"):
-        local = hit_times(block >= 0, last=kind == "last")
-        return np.where(local >= 0, global_start + local, -1).astype(np.int32)
     raise GraphError(f"unknown shard partial kind {kind!r}")
 
 
@@ -656,7 +531,7 @@ class ShardedSweepDriver:
     def _chain(self, spec: tuple) -> list[int]:
         """Shard processing order for a sweep family (the pipeline order)."""
         count = self.sharded.num_shards
-        if spec[0] == "bfs" and not spec[1]:
+        if spec[0] in ("bfs", "reach") and not spec[1]:
             return list(range(count - 1, -1, -1))
         if spec[0] == "tang":
             start_index = spec[2]
@@ -893,9 +768,11 @@ class ShardedSweepDriver:
             chunk = list(roots[start : start + size])
             seeds = [[self._seed_index(r)] for r in chunk]
             chunks.append(chunk)
-            plans.append(
-                (self._split_seeds(seeds), BoundaryBlock.empty(len(chunk), n))
-            )
+            if spec[0] == "reach":
+                boundary = np.zeros((len(chunk), bitops.words_for(n)), np.uint64)
+            else:
+                boundary = BoundaryBlock.empty(len(chunk), n)
+            plans.append((self._split_seeds(seeds), boundary))
         yield from zip(chunks, self._run_chunks(spec, kind, plans))
 
     def bfs(
@@ -986,10 +863,11 @@ class ShardedSweepDriver:
     ) -> dict[TemporalNodeTuple, int]:
         """Per root: reached node identities minus itself, pipelined per shard.
 
-        Shards ship ``(N, R)`` identity-hit masks; the driver ORs and counts,
-        so the result is bit-identical to the monolithic reduction.
+        Each shard runs the reach closure from the carry the previous shard
+        handed on and ships its ``(N, R)`` identity-hit mask; the driver ORs
+        and counts, so the result is bit-identical to the monolithic kernel.
         """
-        spec = ("bfs", direction == "forward", bool(reverse_edges))
+        spec = ("reach", direction == "forward", bool(reverse_edges))
         out: dict[TemporalNodeTuple, int] = {}
         root_list = [(r[0], r[1]) for r in roots]
         for chunk, merged in self._frontier_chunks(
@@ -1037,13 +915,17 @@ class ShardedSweepDriver:
         chunk_size: int | None = None,
         sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        """Per root: earliest reachable time per node identity (forward sweep).
+        """Per root: earliest reachable time per node identity (forward pass).
 
-        Shards ship ``(N, R)`` global first-hit snapshot indices; the driver
-        keeps the minimum, which equals the monolithic running-minimum
-        readout exactly.
+        Shards run the reach closure in chain order, the ``(R, W)`` identity
+        carry flowing between them, and ship ``(N, R)`` global first-hit
+        snapshot indices; the driver keeps the minimum, which equals the
+        monolithic readout exactly.
         """
-        return self._time_readout(roots, "first", chunk_size)
+        spec = ("reach", True, False)
+        root_list = [(r[0], r[1]) for r in roots]
+        chunks = self._frontier_chunks(root_list, spec, "first", chunk_size)
+        return time_answers(chunks, self.sharded.axes)
 
     def latest_departures(
         self,
@@ -1052,20 +934,11 @@ class ShardedSweepDriver:
         chunk_size: int | None = None,
         sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        """Per target: latest departing time per node identity (backward sweep)."""
-        return self._time_readout(targets, "last", chunk_size)
-
-    def _time_readout(
-        self, roots, kind: str, chunk_size: int | None
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        spec = ("bfs", kind == "first", False)  # "last" runs the backward sweep
-        root_list = [(r[0], r[1]) for r in roots]
-        axes = self.sharded.axes
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        for chunk, index in self._frontier_chunks(root_list, spec, kind, chunk_size):
-            for col, root in enumerate(chunk):
-                out[root] = node_times(index[:, col], axes)
-        return out
+        """Per target: latest departing time per node identity (backward pass)."""
+        spec = ("reach", False, False)
+        root_list = [(r[0], r[1]) for r in targets]
+        chunks = self._frontier_chunks(root_list, spec, "last", chunk_size)
+        return time_answers(chunks, self.sharded.axes)
 
     def zero_one_labels(
         self,

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency_list import AdjacencyListEvolvingGraph
-from repro.graph.base import TemporalEdgeTuple
+from repro.graph.base import TemporalEdgeTuple, validate_mutation
 from repro.generators.random_evolving import random_temporal_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,26 +45,19 @@ __all__ = ["EdgeStream", "apply_stream"]
 EdgeEvent = tuple
 
 
-def _apply_event(graph: AdjacencyListEvolvingGraph, event: EdgeEvent) -> None:
-    """Apply one signed event to ``graph`` (arrival order is preserved)."""
-    if len(event) == 4:
-        sign, u, v, t = event
-        if sign == "+":
-            graph.add_edge(u, v, t)
-        elif sign == "-":
-            graph.remove_edge(u, v, t)
-        else:
-            raise GraphError(
-                f"signed edge events must start with '+' or '-', got {sign!r}"
-            )
-        return
+def _signed_edge(event: EdgeEvent) -> tuple[str, TemporalEdgeTuple]:
+    """One event as ``(sign, (u, v, t))``; :class:`GraphError` if malformed."""
     try:
-        u, v, t = event
+        sign, u, v, t = event if len(event) == 4 else ("+", *event)
     except (TypeError, ValueError) as exc:
         raise GraphError(
             f"edge events must be (u, v, t) or (sign, u, v, t), got {event!r}"
         ) from exc
-    graph.add_edge(u, v, t)
+    if sign not in ("+", "-"):
+        raise GraphError(
+            f"signed edge events must start with '+' or '-', got {sign!r}"
+        )
+    return sign, (u, v, t)
 
 
 @dataclass
@@ -148,7 +141,11 @@ def apply_stream(
         of events (treated as one event per batch).  Events are ``(u, v, t)``
         insertion triples or signed ``("+"/"-", u, v, t)`` quadruples;
         within a batch they apply in arrival order, so a remove-then-re-add
-        of the same edge lands in the graph exactly as streamed.
+        of the same edge lands in the graph exactly as streamed.  Each batch
+        is validated whole before its first write
+        (:func:`~repro.graph.base.validate_mutation`; removals must name a
+        snapshot that exists before the batch) and a bad one raises
+        :class:`~repro.exceptions.GraphError` with the graph unchanged.
     graph:
         Graph to extend in place; a fresh one is created when omitted.
     directed:
@@ -179,8 +176,19 @@ def apply_stream(
 
     artifact: "CompiledTemporalGraph | None" = None
     for batch in batch_iter:
-        for event in batch:
-            _apply_event(graph, event)
+        # the whole batch is checked before its first write (split by sign
+        # for the check only), so a rejected batch leaves the graph as is
+        events = [_signed_edge(event) for event in batch]
+        validate_mutation(
+            graph,
+            [edge for sign, edge in events if sign == "+"],
+            [edge for sign, edge in events if sign == "-"],
+        )
+        for sign, edge in events:
+            if sign == "+":
+                graph.add_edge(*edge)
+            else:
+                graph.remove_edge(*edge)
         if compiled:
             artifact = get_compiled(graph)  # delta recompile of the touched snapshots
         if on_batch is not None:

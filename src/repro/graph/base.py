@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
-from repro.exceptions import GraphError, InactiveNodeError
+from repro.exceptions import GraphError, InactiveNodeError, TimestampNotFoundError
 
 Node = Hashable
 Time = Hashable
@@ -41,6 +41,7 @@ __all__ = [
     "TemporalEdgeTuple",
     "BaseEvolvingGraph",
     "as_temporal_edge",
+    "validate_mutation",
 ]
 
 
@@ -53,6 +54,41 @@ def as_temporal_edge(item) -> TemporalEdgeTuple:
             f"temporal edges must be (u, v, t) triples, got {item!r}"
         ) from exc
     return u, v, t
+
+
+def validate_mutation(
+    graph: "BaseEvolvingGraph", insertions: Iterable, removals: Iterable
+) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]]:
+    """Check a whole mutation batch against ``graph`` before any write.
+
+    Every item must be a ``(u, v, t)`` triple of hashable labels, a removal
+    must name an existing snapshot, and a new insertion time must order
+    against the time axis (and the batch's other new times) the way the
+    graph will sort it.  Raises :class:`~repro.exceptions.GraphError` on the
+    first bad item, so a rejected batch leaves the graph untouched.
+    """
+    edges = [as_temporal_edge(item) for item in insertions]
+    deletions = [as_temporal_edge(item) for item in removals]
+    try:
+        set(edges + deletions)
+    except TypeError as exc:
+        raise GraphError(f"mutation labels must be hashable: {exc}") from exc
+    axis = list(graph.timestamps)
+    known = set(axis)
+    for _, _, t in deletions:
+        if t not in known:
+            raise TimestampNotFoundError(t)
+    for edge in edges:
+        t = edge[2]
+        if t not in known:
+            try:
+                bisect.insort(axis, t)
+            except TypeError as exc:
+                raise GraphError(
+                    f"time {t!r} of {edge!r} does not order against the time axis"
+                ) from exc
+            known.add(t)
+    return edges, deletions
 
 
 class BaseEvolvingGraph(ABC):

@@ -86,9 +86,8 @@ from repro.exceptions import (
     DeadlineExceededError,
     GraphError,
     ServerOverloadedError,
-    TimestampNotFoundError,
 )
-from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple, as_temporal_edge
+from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple, validate_mutation
 from repro.serving.coalesce import decode_warm_block, execute_group
 
 __all__ = ["ADMISSION_POLICIES", "LatencyHistogram", "QueryServer", "ServingStats"]
@@ -356,41 +355,6 @@ def _matching_blocks(carried: list, compiled, *, active_roots: bool = False):
             pins.append(slot)
         kept.append((key, warm))
     return kept, blocks, pins
-
-
-def _validate_mutation(
-    graph: BaseEvolvingGraph, edges: Sequence, removals: Sequence
-) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]]:
-    """Check a whole mutation batch against ``graph`` before any write.
-
-    Every item must be a ``(u, v, t)`` triple of hashable labels, a removal
-    must name an existing snapshot, and a new insertion time must order
-    against the time axis (and the batch's other new times) the way the
-    graph will sort it.  Raises :class:`~repro.exceptions.GraphError` on the
-    first bad item, so a rejected batch leaves the graph untouched.
-    """
-    insertions = [as_temporal_edge(item) for item in edges]
-    deletions = [as_temporal_edge(item) for item in removals]
-    try:
-        set(insertions + deletions)
-    except TypeError as exc:
-        raise GraphError(f"mutation labels must be hashable: {exc}") from exc
-    axis = list(graph.timestamps)
-    known = set(axis)
-    for _, _, t in deletions:
-        if t not in known:
-            raise TimestampNotFoundError(t)
-    for edge in insertions:
-        t = edge[2]
-        if t not in known:
-            try:
-                bisect.insort(axis, t)
-            except TypeError as exc:
-                raise GraphError(
-                    f"time {t!r} of {edge!r} does not order against the time axis"
-                ) from exc
-            known.add(t)
-    return insertions, deletions
 
 
 class QueryServer:
@@ -848,7 +812,7 @@ class QueryServer:
         warm_carried: list | None = None
         removed: list[TemporalEdgeTuple] = []
         try:
-            batch, removals = _validate_mutation(self._graph, batch, removals)
+            batch, removals = validate_mutation(self._graph, batch, removals)
             before = self._graph.mutation_version
             # phase 1 — removals: capture the pre-removal activeness (the
             # mask every warm block was computed under), mutate, then fold

@@ -158,3 +158,57 @@ class TestAgainstRecompute:
         inc = IncrementalBFS(g, (0, 0))
         inc.add_edges_from([(0, 1, 0), (0, 1, 0), (1, 2, 0)])
         assert inc.num_updates == 2
+
+
+class TestAtomicBatches:
+    """A rejected batch writes nothing: version and edges stay as they were."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "python"])
+    def test_unorderable_time_rejects_whole_batch(self, backend):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 0), (2, 3, 1)])
+        inc = IncrementalBFS(g, (0, 0), backend=backend)
+        version = g.mutation_version
+        edges = sorted(g.temporal_edges())
+        distances = dict(inc.distances)
+        # "x" does not order against the integer time axis; the valid
+        # insertion and removal in the same batch must not land either
+        with pytest.raises(GraphError):
+            inc.apply(insertions=[(5, 6, 0), (7, 8, "x")], removals=[(0, 1, 0)])
+        with pytest.raises(GraphError):
+            inc.add_edges_from([(5, 6, 0), (7, [8], 0)])
+        assert g.mutation_version == version
+        assert sorted(g.temporal_edges()) == edges
+        assert inc.distances == distances
+
+    def test_earliest_arrival_apply_delegates_the_check(self):
+        from repro.algorithms.incremental import IncrementalEarliestArrival
+
+        g = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 1)])
+        inc = IncrementalEarliestArrival(g, (0, 0))
+        version = g.mutation_version
+        with pytest.raises(GraphError):
+            inc.apply(insertions=[(5, 6, 0)], removals=[(0, 1, 9)])
+        assert g.mutation_version == version
+        assert inc.arrivals == {0: 0, 1: 0, 2: 1}
+
+    def test_apply_stream_checks_each_batch_before_writing(self):
+        from repro.generators import apply_stream
+
+        g = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 1)])
+        version = g.mutation_version
+        for batch in (
+            [("+", 5, 6, 0), ("-", 0, 1, 0), (7, 8, "x")],
+            [("-", 0, 1, 0), ("*", 5, 6, 0)],
+            [("+", 5, 6, 0), 7],
+            [("-", 1, 2, 4)],  # no snapshot at time 4
+        ):
+            with pytest.raises(GraphError):
+                apply_stream(EdgeStream(batch, batch_size=len(batch)), graph=g)
+            assert g.mutation_version == version
+            assert sorted(g.temporal_edges()) == [(0, 1, 0), (1, 2, 1)]
+        # signed events still apply in arrival order within a batch
+        apply_stream(
+            EdgeStream([("-", 0, 1, 0), ("+", 0, 1, 0), ("+", 2, 3, 1)], batch_size=3),
+            graph=g,
+        )
+        assert sorted(g.temporal_edges()) == [(0, 1, 0), (1, 2, 1), (2, 3, 1)]

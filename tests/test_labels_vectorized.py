@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.influence import influence_set, influencer_set
 from repro.algorithms.pagerank import (
     aggregate_pagerank,
     evolving_pagerank,
@@ -38,8 +39,17 @@ from repro.algorithms.temporal_paths import (
     latest_departure_time,
     latest_departure_times,
 )
-from repro.core.bfs import evolving_bfs
-from repro.engine import LabelKernel, get_compiled, get_kernel, get_label_kernel
+from repro.core.bfs import evolving_bfs, multi_source_bfs
+from repro.engine import (
+    FrontierKernel,
+    LabelKernel,
+    bitops,
+    get_compiled,
+    get_kernel,
+    get_label_kernel,
+)
+from repro.engine.answers import hit_times
+from repro.engine.frontier import reach_closure
 from repro.exceptions import GraphError
 from repro.graph import AdjacencyListEvolvingGraph
 
@@ -348,7 +358,8 @@ def test_unit_unit_semiring_recovers_paper_distance(graph_root):
         decoded = {}
         t_arr, v_arr = np.nonzero(labels[:, :, 0] >= 0)
         for ti, vi in zip(t_arr.tolist(), v_arr.tolist()):
-            decoded[(kernel._labels[vi], kernel._times[ti])] = int(labels[ti, vi, 0])
+            decoded[(kernel.compiled.node_labels[vi], kernel.compiled.times[ti])] = int(
+                labels[ti, vi, 0])
         assert decoded == expected
 
 
@@ -511,3 +522,116 @@ def test_tang_patch_rejects_mismatched_block():
         kernel.tang_patch(
             np.zeros((3, 1), dtype=np.int32), [1], start_index=5
         )
+
+
+# --------------------------------------------------------------------------- #
+# the reach closure: one pass over time for reach-only answers                 #
+# --------------------------------------------------------------------------- #
+
+@st.composite
+def reach_graphs(draw):
+    """Random graphs for the reach closure: about half have one snapshot,
+    the rest may register snapshots with no edges among the populated ones."""
+    directed = draw(st.booleans())
+    single = draw(st.booleans())
+    times = st.just(0) if single else time_labels
+    edges = draw(
+        st.lists(
+            st.tuples(node_labels, node_labels, times).filter(lambda e: e[0] != e[1]),
+            min_size=1, max_size=25,
+        )
+    )
+    empty = [] if single else draw(st.lists(st.integers(-2, 8), max_size=3))
+    stamps = sorted({t for _, _, t in edges} | set(empty))
+    return AdjacencyListEvolvingGraph(edges, directed=directed, timestamps=stamps)
+
+
+def _reach_oracle(graph, root, direction, reverse_edges):
+    """Python-oracle identity count: forward searches are influence sets,
+    backward ones influencer sets; ``follow_citations`` keeps edge order."""
+    reach = influence_set if direction == "forward" else influencer_set
+    return len(reach(graph, *root, follow_citations=not reverse_edges,
+                     backend="python"))
+
+
+@ALGO_SETTINGS
+@given(reach_graphs(), st.data())
+def test_reach_answers_equal_python_oracle_and_classic(graph, data):
+    active = graph.active_temporal_nodes()
+    roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4,
+                               unique=True))
+    kernel = LabelKernel(graph)
+    earliest = kernel.earliest_arrivals(roots, chunk_size=3)
+    latest = kernel.latest_departures(roots, chunk_size=3)
+    assert earliest == kernel.earliest_arrivals(roots, sweep_mode="classic")
+    assert latest == kernel.latest_departures(roots, sweep_mode="classic")
+    for root in roots:
+        assert earliest[root] == earliest_arrival_times(graph, root, backend="python")
+        assert latest[root] == latest_departure_times(graph, root, backend="python")
+    for direction in ("forward", "backward"):
+        for reverse_edges in (False, True):
+            counts = kernel.frontier.identity_reach_counts(
+                roots, direction=direction, reverse_edges=reverse_edges, chunk_size=3)
+            assert counts == kernel.frontier.identity_reach_counts(
+                roots, direction=direction, reverse_edges=reverse_edges,
+                sweep_mode="classic")
+            for root in roots:
+                assert counts[root] == _reach_oracle(graph, root, direction,
+                                                     reverse_edges)
+
+
+@ALGO_SETTINGS
+@given(reach_graphs(), st.data(), st.booleans(), st.booleans())
+def test_reach_closure_multi_seed_columns_equal_classic(graph, data, forward,
+                                                        reverse_edges):
+    """Each column may hold several seeds; the hit index and the carry equal
+    the classic level sweep's first (backward: last) reached snapshot."""
+    kernel = FrontierKernel(graph)
+    active = graph.active_temporal_nodes()
+    columns = data.draw(st.lists(st.lists(st.sampled_from(active), min_size=1,
+                                          max_size=3), min_size=1, max_size=3))
+    seeds = [[kernel._seed_index(r) for r in column] for column in columns]
+    words = bitops.words_for(kernel.num_nodes)
+    hit, carry = reach_closure(kernel, seeds,
+                               np.zeros((len(seeds), words), dtype=np.uint64),
+                               forward=forward, reverse_edges=reverse_edges)
+    direction = "forward" if forward else "backward"
+    dist = kernel._run(seeds, direction, reverse_edges=reverse_edges,
+                       sweep_mode="classic")
+    np.testing.assert_array_equal(hit, hit_times(dist >= 0, last=not forward))
+    np.testing.assert_array_equal(bitops.unpack_bits(carry, kernel.num_nodes),
+                                  (hit >= 0).T)
+    if forward and not reverse_edges:
+        # the multi-root oracle: each identity's earliest reached snapshot
+        position = {t: i for i, t in enumerate(kernel.timestamps)}
+        for col, column in enumerate(columns):
+            reached = multi_source_bfs(graph, column, backend="python").reached
+            first: dict = {}
+            for v, t in reached:
+                first[v] = min(first.get(v, position[t]), position[t])
+            got = {kernel.node_labels[vi]: int(hit[vi, col])
+                   for vi in np.flatnonzero(hit[:, col] >= 0).tolist()}
+            assert got == first
+
+
+def test_reach_answers_never_run_the_level_sweep(monkeypatch, medium_random_graph):
+    """Fused earliest-arrival, latest-departure and identity-count reads go
+    through the closure alone: the level sweep must not come back."""
+    kernel = LabelKernel(medium_random_graph)
+    roots = medium_random_graph.active_temporal_nodes()[::97][:8]
+    expected = (
+        kernel.earliest_arrivals(roots, sweep_mode="classic"),
+        kernel.latest_departures(roots, sweep_mode="classic"),
+        kernel.frontier.identity_reach_counts(roots, sweep_mode="classic"),
+    )
+
+    def level_sweep(*args, **kwargs):
+        raise AssertionError("a reach-only answer ran the level sweep")
+
+    monkeypatch.setattr(FrontierKernel, "_run_fused", level_sweep)
+    assert kernel.earliest_arrivals(roots, sweep_mode="fused") == expected[0]
+    assert kernel.latest_departures(roots, sweep_mode="fused") == expected[1]
+    assert kernel.frontier.identity_reach_counts(roots, sweep_mode="fused") == \
+        expected[2]
+    with pytest.raises(AssertionError, match="level sweep"):
+        kernel.frontier.bfs(roots[0], sweep_mode="fused")  # the patch is live

@@ -59,6 +59,7 @@ from repro.engine import (
     invalidate_kernel,
 )
 from repro.engine.answers import ReachedView
+from repro.engine import sharded_sweep
 from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
@@ -233,6 +234,67 @@ def test_sharded_label_family_bit_identical(graph_root, backend):
         assert driver.fewest_hops(roots) == expected_hops
         for (si, h), expected in expected_tang.items():
             assert driver.tang_steps(sources, horizon=h, start_index=si) == expected
+
+
+@settings(
+    max_examples=10 if ENV_BACKEND == "process" else 30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(graphs_with_roots(), st.lists(st.integers(-2, 8), max_size=2),
+       st.integers(min_value=1, max_value=4))
+def test_sharded_reach_closure_equals_monolithic(graph_root, empty_times, shards):
+    """The carry-chained reach closure on 1-4 shards (serial backend, or the
+    one the CI stress job exports) equals the monolithic kernel, snapshots
+    without edges included."""
+    graph, _ = graph_root
+    for t in empty_times:
+        graph.add_timestamp(t)
+    compiled = get_compiled(graph)
+    kernel = get_kernel(graph)
+    labels = get_label_kernel(graph)
+    roots = graph.active_temporal_nodes()[:6]
+    sharded = ShardedTemporalGraph.from_compiled(
+        compiled, min(shards, compiled.num_snapshots)
+    )
+    with ShardedSweepDriver(
+        sharded, backend=ENV_BACKEND, num_workers=2, chunk_size=4
+    ) as driver:
+        assert driver.earliest_arrivals(roots) == labels.earliest_arrivals(roots)
+        assert driver.latest_departures(roots) == labels.latest_departures(roots)
+        for direction in ("forward", "backward"):
+            for reverse_edges in (False, True):
+                assert driver.identity_reach_counts(
+                    roots, direction=direction, reverse_edges=reverse_edges
+                ) == kernel.identity_reach_counts(
+                    roots, direction=direction, reverse_edges=reverse_edges
+                )
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_sharded_reach_answers_never_run_the_level_sweep(monkeypatch, backend):
+    graph = _banded_graph(num_nodes=20, snapshots=6, seed=3)
+    roots = graph.active_temporal_nodes()[::7]
+    kernel = get_kernel(graph)
+    labels = get_label_kernel(graph)
+    expected = (
+        labels.earliest_arrivals(roots),
+        labels.latest_departures(roots),
+        kernel.identity_reach_counts(roots, direction="backward"),
+    )
+
+    def level_sweep(*args, **kwargs):
+        raise AssertionError("a reach-only answer ran the level sweep")
+
+    monkeypatch.setattr(sharded_sweep, "_bfs_shard_sweep", level_sweep)
+    monkeypatch.setattr(FrontierKernel, "_run_fused", level_sweep)
+    sharded = ShardedTemporalGraph.from_compiled(get_compiled(graph), 3)
+    driver = ShardedSweepDriver(sharded, backend=backend, chunk_size=4)
+    assert driver.earliest_arrivals(roots) == expected[0]
+    assert driver.latest_departures(roots) == expected[1]
+    assert driver.identity_reach_counts(roots, direction="backward") == expected[2]
+    with pytest.raises(AssertionError, match="level sweep"):
+        driver.bfs(roots[0])  # the patch is live
 
 
 @SHARD_SETTINGS
@@ -585,7 +647,9 @@ def _mutate_last_snapshot(graph):
 
 def test_sharded_driver_delta_recompile_reuses_clean_shards():
     graph = _banded_graph(num_nodes=20, snapshots=6, seed=7)
-    driver1 = get_sharded_driver(graph, 3)
+    # shard kernels live on the driver only for in-process backends (process
+    # workers own theirs), so the reuse half pins the serial backend
+    driver1 = get_sharded_driver(graph, 3, backend="serial")
     root = graph.active_temporal_nodes()[0]
     roots = graph.active_temporal_nodes()[:5]
     driver1.bfs(root)  # warm every shard kernel (serial backend sweeps all)
@@ -594,7 +658,7 @@ def test_sharded_driver_delta_recompile_reuses_clean_shards():
     assert warmed  # the sweep above must have materialized shard kernels
 
     last = _mutate_last_snapshot(graph)
-    driver2 = get_sharded_driver(graph, 3)
+    driver2 = get_sharded_driver(graph, 3, backend="serial")
     assert driver2 is not driver1
     sharded = driver2.sharded
     dirty = sharded.shard_of_snapshot(sharded.times.index(last))
@@ -612,10 +676,18 @@ def test_sharded_driver_delta_recompile_reuses_clean_shards():
             # ... together with their warmed kernels
             assert driver2._kernels[index] is warmed[index]
 
-    # the delta-resharded driver stays bit-identical to the monolithic kernel
+    # a delta-resharded driver on the environment's backend (process under
+    # the shard-stress job) stays bit-identical to the monolithic kernel
+    get_sharded_driver(graph, 3).bfs(root)  # backend: env or serial
+    _mutate_last_snapshot(graph)
+    driver3 = get_sharded_driver(graph, 3)
+    assert driver3.sharded.delta_stats == {
+        "rebuilt": 1,
+        "reused": driver3.sharded.num_shards - 1,
+    }
     kernel = get_kernel(graph)
-    assert driver2.bfs(root).reached == kernel.bfs(root).reached
-    assert driver2.harmonic_closeness_sums(roots) == \
+    assert driver3.bfs(root).reached == kernel.bfs(root).reached
+    assert driver3.harmonic_closeness_sums(roots) == \
         kernel.harmonic_closeness_sums(roots)
     assert temporal_closeness(graph) == temporal_closeness(graph, shards=3)
     invalidate_kernel(graph)
